@@ -98,10 +98,10 @@ def _cmd_modify(args) -> int:
     space = load_space(args.space)
     spec = parse_spec(args.spec)
     embeddings = load_embeddings(args.embeddings, format="auto")
-    modified, reports = modify_batch_with_reports(space, embeddings, spec)
+    modified, report = modify_batch_with_reports(space, embeddings, spec)
     out_format = args.format if args.format != "auto" else detect_format(args.embeddings)
     save_embeddings(modified, args.out, format=out_format)
-    mean_removed = float(np.mean([r.removed_energy for r in reports]))
+    mean_removed = float(np.mean(report.removed_energy))
     print(f"records={len(modified)} mean_removed_energy={_fmt(mean_removed)}")
     print(f"wrote={args.out}")
     return 0

@@ -4,6 +4,7 @@ formats (CSV, binary, and whitespace trial lists)."""
 from __future__ import annotations
 
 import csv
+import io
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,21 +40,26 @@ class EmbeddingSet:
             raise DataError("id lists and vector rows disagree in length")
         if not np.all(np.isfinite(vectors)):
             raise DataError("embedding set contains a non-finite value")
-        seen = set()
-        for utt, spk in zip(utt_ids, spk_ids):
+        row_of, speaker_rows = {}, {}
+        for i, (utt, spk) in enumerate(zip(utt_ids, spk_ids)):
             if not utt:
                 raise DataError("empty utterance id")
             if not spk:
                 raise DataError("empty speaker id")
-            if utt in seen:
+            if utt in row_of:
                 raise DataError(f"duplicate utterance id '{utt}'")
-            seen.add(utt)
+            row_of[utt] = i
+            speaker_rows.setdefault(spk, []).append(i)
         vectors = vectors.copy()
         vectors.setflags(write=False)
         object.__setattr__(self, "utt_ids", utt_ids)
         object.__setattr__(self, "spk_ids", spk_ids)
         object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "_row_of", {u: i for i, u in enumerate(utt_ids)})
+        object.__setattr__(self, "_row_of", row_of)
+        for spk, rows in speaker_rows.items():
+            speaker_rows[spk] = rows = np.array(rows)
+            rows.setflags(write=False)
+        object.__setattr__(self, "_speaker_rows", speaker_rows)
 
     @classmethod
     def from_records(cls, records) -> "EmbeddingSet":
@@ -77,21 +83,26 @@ class EmbeddingSet:
     def dim(self) -> int:
         return self.vectors.shape[1]
 
-    def vector(self, utt_id: str) -> np.ndarray:
+    def row(self, utt_id: str) -> int:
+        """Row index of an utterance."""
         row = self._row_of.get(utt_id)
         if row is None:
             raise DataError(f"unknown utterance id '{utt_id}'")
-        return self.vectors[row]
+        return row
+
+    def vector(self, utt_id: str) -> np.ndarray:
+        return self.vectors[self.row(utt_id)]
 
     def speakers(self) -> tuple[str, ...]:
         """Distinct speaker ids in first-appearance order."""
-        seen = {}
-        for spk in self.spk_ids:
-            seen.setdefault(spk, None)
-        return tuple(seen)
+        return tuple(self._speaker_rows)
+
+    def speaker_rows(self, spk_id: str) -> np.ndarray:
+        """Row indices of a speaker's records, ascending; empty if unknown."""
+        return self._speaker_rows.get(spk_id, np.array([], dtype=np.intp))
 
     def utterances_of(self, spk_id: str) -> tuple[str, ...]:
-        return tuple(u for u, s in zip(self.utt_ids, self.spk_ids) if s == spk_id)
+        return tuple(self.utt_ids[i] for i in self.speaker_rows(spk_id))
 
     def records(self):
         for i, (utt, spk) in enumerate(zip(self.utt_ids, self.spk_ids)):
@@ -128,11 +139,19 @@ def save_embeddings(embeddings: EmbeddingSet, destination, format: str = "csv") 
 
 def _save_csv(embeddings: EmbeddingSet, destination) -> None:
     d = embeddings.dim
+    # ids go through the csv module for its quoting; the values, which never
+    # need quoting, through one %-template per row
+    line = ",".join(["%s"] + ["%.17g"] * d) + "\n"
+    ids = io.StringIO()
+    id_writer = csv.writer(ids, lineterminator="\n")
     with open(destination, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["utt_id", "spk_id"] + [f"d{i}" for i in range(1, d + 1)])
         for utt, spk, vec in embeddings.records():
-            writer.writerow([utt, spk] + [format(v, ".17g") for v in vec])
+            id_writer.writerow((utt, spk))
+            fh.write(line % (ids.getvalue()[:-1], *vec.tolist()))
+            ids.seek(0)
+            ids.truncate()
 
 
 def _load_csv(source) -> EmbeddingSet:
@@ -158,7 +177,7 @@ def _load_csv(source) -> EmbeddingSet:
             utts.append(row[0])
             spks.append(row[1])
             try:
-                values = [float(tok) for tok in row[2:]]
+                values = np.fromiter(map(float, row[2:]), dtype=np.float64, count=d)
             except ValueError as exc:
                 raise DataError(f"embeddings CSV line {lineno}: {exc}") from None
             rows.append(values)

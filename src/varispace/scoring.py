@@ -13,7 +13,7 @@ import numpy as np
 from .embeddings import EmbeddingSet, TrialList
 from .errors import DataError, FormatError
 from .space import VariabilitySpace
-from .subspace import BACKWARD, FORWARD, SubspaceSpec, modify_batch, resolve_indices
+from .subspace import BACKWARD, FORWARD, SubspaceSpec, resolve_indices
 
 SWEEP_FAMILIES = ("primary", "secondary", "residual")
 
@@ -22,28 +22,39 @@ _ZERO_NORM = 1e-30
 
 def build_enrollment(embeddings: EmbeddingSet, speaker: str) -> np.ndarray:
     """Length-normalized mean of a speaker's embeddings."""
-    utts = embeddings.utterances_of(speaker)
-    if not utts:
+    rows = embeddings.speaker_rows(speaker)
+    if not rows.size:
         raise DataError(f"unknown speaker '{speaker}'")
-    rows = np.array([embeddings.vector(u) for u in utts])
-    mean = rows.mean(axis=0)
+    mean = embeddings.vectors[rows].mean(axis=0)
     norm = float(np.linalg.norm(mean))
     if norm <= _ZERO_NORM:
         raise DataError(f"speaker '{speaker}' has a zero-mean enrollment model")
     return mean / norm
 
 
+def _cosines(dots: np.ndarray, norms_a: np.ndarray, norms_b: np.ndarray) -> np.ndarray:
+    """Cosines from inner products and norms, clamped to [-1, 1]."""
+    if np.any(norms_a <= _ZERO_NORM) or np.any(norms_b <= _ZERO_NORM):
+        raise DataError("cosine of a zero vector is undefined")
+    return np.clip(dots / (norms_a * norms_b), -1.0, 1.0)
+
+
+def _cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The one scoring kernel: cosine of each row pair of two (T, D)
+    matrices, clamped to [-1, 1]. Each row's result is the same whatever T."""
+    return _cosines(
+        np.einsum("ij,ij->i", a, b), np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1)
+    )
+
+
 def cosine(a, b) -> float:
-    """Cosine similarity, clamped to [-1, 1]. Both vectors must be nonzero."""
+    """Cosine similarity, clamped to [-1, 1]. Both vectors must be nonzero.
+    A one-row call of the kernel that :func:`score_trials` uses."""
     va = np.asarray(a, dtype=np.float64)
     vb = np.asarray(b, dtype=np.float64)
     if va.shape != vb.shape:
         raise DataError(f"cosine dimension mismatch: {va.shape} vs {vb.shape}")
-    na = float(np.linalg.norm(va))
-    nb = float(np.linalg.norm(vb))
-    if na <= _ZERO_NORM or nb <= _ZERO_NORM:
-        raise DataError("cosine of a zero vector is undefined")
-    return float(np.clip(float(va @ vb) / (na * nb), -1.0, 1.0))
+    return float(_cosine_rows(va.reshape(1, -1), vb.reshape(1, -1))[0])
 
 
 @dataclass(frozen=True)
@@ -75,6 +86,41 @@ class ScoredTrials:
         return self.scores.size
 
 
+# Trials are gathered and scored in chunks of this many, so the (T, D)
+# gathers never all live at once.
+_TRIAL_CHUNK = 4096
+
+
+def _chunks(n: int):
+    return (slice(i, i + _TRIAL_CHUNK) for i in range(0, n, _TRIAL_CHUNK))
+
+
+def _resolve_trials(
+    trials: TrialList, model_index: Mapping[str, int], test_set: EmbeddingSet
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each trial's model index, test row and label. Unresolvable ids abort,
+    naming the trial's source line."""
+    models = np.empty(len(trials), dtype=np.intp)
+    rows = np.empty(len(trials), dtype=np.intp)
+    labels = np.empty(len(trials), dtype=bool)
+    for i, trial in enumerate(trials):
+        where = trial.line if trial.line is not None else i + 1
+        model = model_index.get(trial.enroll_speaker)
+        if model is None:
+            raise DataError(
+                f"trial {where}: no enrollment for speaker '{trial.enroll_speaker}'"
+            )
+        try:
+            rows[i] = test_set.row(trial.test_utterance)
+        except DataError:
+            raise DataError(
+                f"trial {where}: unknown test utterance '{trial.test_utterance}'"
+            ) from None
+        models[i] = model
+        labels[i] = trial.target
+    return models, rows, labels
+
+
 def score_trials(
     enrollments: Mapping[str, np.ndarray],
     test_set: EmbeddingSet,
@@ -82,23 +128,18 @@ def score_trials(
 ) -> ScoredTrials:
     """Cosine score every trial against its enrollment model, order
     preserved. Unresolvable ids abort, naming the trial's source line."""
-    scores = np.empty(len(trials))
-    labels = np.empty(len(trials), dtype=bool)
-    for i, trial in enumerate(trials):
-        where = trial.line if trial.line is not None else i + 1
-        model = enrollments.get(trial.enroll_speaker)
-        if model is None:
-            raise DataError(
-                f"trial {where}: no enrollment for speaker '{trial.enroll_speaker}'"
-            )
-        try:
-            test_vec = test_set.vector(trial.test_utterance)
-        except DataError:
-            raise DataError(
-                f"trial {where}: unknown test utterance '{trial.test_utterance}'"
-            ) from None
-        scores[i] = cosine(model, test_vec)
-        labels[i] = trial.target
+    speakers = list(enrollments)
+    which, rows, labels = _resolve_trials(
+        trials, {s: i for i, s in enumerate(speakers)}, test_set
+    )
+    models = np.array([enrollments[s] for s in speakers], dtype=np.float64)
+    if models.shape != (len(speakers), test_set.dim):
+        raise DataError(
+            f"cosine dimension mismatch: models {models.shape[1:]} vs tests ({test_set.dim},)"
+        )
+    scores = np.concatenate(
+        [_cosine_rows(models[which[c]], test_set.vectors[rows[c]]) for c in _chunks(len(trials))]
+    )
     return ScoredTrials(scores=scores, labels=labels)
 
 
@@ -163,16 +204,6 @@ class SweepResult:
     rows: tuple[SweepRow, ...]
 
 
-def _family_spec(family: str, size: int, dim: int, turning_dim: int | None) -> SubspaceSpec:
-    if family == "primary":
-        return SubspaceSpec(start=1, size=size, direction=FORWARD, family="primary")
-    if family == "secondary":
-        return SubspaceSpec(
-            start=turning_dim, size=size, direction=BACKWARD, family="secondary"
-        )
-    return SubspaceSpec(start=dim, size=size, direction=BACKWARD, family="residual")
-
-
 def run_sweep(
     space: VariabilitySpace,
     embeddings: EmbeddingSet,
@@ -184,10 +215,16 @@ def run_sweep(
 ) -> SweepResult:
     """EER as a function of removed-block size for one subspace family.
 
-    For each size K the whole set is modified, enrollment models are rebuilt
-    from the modified embeddings (or the originals with
-    ``clean_enrollment``), all trials are rescored, and one row is emitted.
-    K=0 rows are the unmodified baseline.
+    Row K equals modifying the whole set, building enrollment models from
+    the modified embeddings (or the originals with ``clean_enrollment``),
+    scoring every trial and taking the EER. K=0 is the unmodified baseline;
+    a size that removes all D dimensions is rejected.
+
+    The basis is orthonormal, so inner products of modified embeddings are
+    inner products of their coefficients outside the removed block. The set
+    is projected once; each trial's coefficient products (m*c, m*m, c*c) are
+    summed over the segments between block boundaries, and each K's scores
+    come from the sums of the segments it keeps.
     """
     if family not in SWEEP_FAMILIES:
         raise DataError(f"unknown sweep family '{family}'")
@@ -205,29 +242,60 @@ def run_sweep(
     sizes = [int(k) for k in k_values]
     if not sizes:
         raise DataError("sweep needs at least one size")
-    specs = []
+    start, direction = {
+        "primary": (1, FORWARD),
+        "secondary": (turning_dim, BACKWARD),
+        "residual": (space.dim, BACKWARD),
+    }[family]
+    specs, blocks = [], []
     for k in sizes:
         if k < 0:
             raise DataError(f"sweep size {k} is negative")
-        spec = _family_spec(family, k, space.dim, turning_dim)
+        spec = SubspaceSpec(start=start, size=k, direction=direction, family=family)
         try:
-            resolve_indices(spec, space.dim)
+            indices = resolve_indices(spec, space.dim)
         except DataError as exc:
             raise DataError(f"size {k} unresolvable: {exc}") from None
+        if k == space.dim:
+            raise DataError(
+                f"sweep size {k} removes all {space.dim} dimensions, leaving nothing to score"
+            )
         specs.append(spec)
+        # 0-based half-open coefficient range the block removes
+        blocks.append((indices[0] - 1, indices[-1]) if indices else (0, 0))
 
-    needed_speakers = {t.enroll_speaker for t in trials}
-    rows = []
-    for k, spec in zip(sizes, specs):
-        modified = modify_batch(space, embeddings, spec)
-        enroll_source = embeddings if clean_enrollment else modified
-        available = set(enroll_source.speakers())
-        enrollments = {
-            s: build_enrollment(enroll_source, s)
-            for s in sorted(needed_speakers & available)
-        }
-        result = compute_eer(score_trials(enrollments, modified, trials))
-        rows.append(
+    speakers = sorted({t.enroll_speaker for t in trials} & set(embeddings.speakers()))
+    which, rows, labels = _resolve_trials(
+        trials, {s: i for i, s in enumerate(speakers)}, embeddings
+    )
+    coeff = embeddings.vectors @ space.basis
+    means = np.array([coeff[embeddings.speaker_rows(s)].mean(axis=0) for s in speakers])
+    starts = np.unique([0, *(edge for block in blocks for edge in block)])
+    starts = starts[starts < space.dim]
+
+    def segment_sums(products):
+        return np.add.reduceat(products, starts, axis=1)
+
+    model_sq = segment_sums(means * means)
+    test_sq = segment_sums(coeff * coeff)
+    dots = np.concatenate(
+        [segment_sums(means[which[c]] * coeff[rows[c]]) for c in _chunks(len(trials))]
+    )
+
+    result_rows = []
+    for k, spec, (lo, hi) in zip(sizes, specs, blocks):
+        kept = (starts < lo) | (starts >= hi)
+        model_norm = np.sqrt((model_sq if clean_enrollment else model_sq[:, kept]).sum(axis=1))
+        for speaker, norm in zip(speakers, model_norm):
+            if norm <= _ZERO_NORM:
+                raise DataError(f"speaker '{speaker}' has a zero-mean enrollment model")
+        scores = _cosines(
+            dots[:, kept].sum(axis=1),
+            model_norm[which],
+            np.sqrt(test_sq[:, kept].sum(axis=1))[rows],
+        )
+        result = compute_eer(ScoredTrials(scores=scores, labels=labels))
+        result_rows.append(
             SweepRow(
                 family=family,
                 start=spec.start,
@@ -238,7 +306,7 @@ def run_sweep(
                 n_nontarget=result.n_nontarget,
             )
         )
-    return SweepResult(rows=tuple(rows))
+    return SweepResult(rows=tuple(result_rows))
 
 
 SWEEP_HEADER = ["family", "start", "size", "direction", "eer_percent", "n_target", "n_nontarget"]

@@ -1,9 +1,9 @@
 """Subspace specifications and pseudo-speaker embedding modification.
 
 A subspace is a contiguous block of basis dimensions named by a 1-based
-start index, a size, and a span direction. Modification projects an
-embedding onto the variability basis, zeroes the coefficients inside the
-block, and reconstructs.
+start index, a size, and a span direction. Modification zeroes the
+embedding's coefficients inside the block: with the block's orthonormal
+basis columns ``B_S``, it subtracts ``(x B_S) B_S^T``.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ import numpy as np
 
 from .embeddings import EmbeddingSet
 from .errors import DataError
-from .space import VariabilitySpace, project, reconstruct
+from .linalg import as_vector
+from .space import VariabilitySpace
 
 FORWARD = "+"
 BACKWARD = "-"
@@ -103,13 +104,36 @@ def resolve_indices(spec: SubspaceSpec, dim: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class ModificationReport:
-    """What a single modification removed: the zeroed 1-based indices, the
-    coefficient energy taken out, and the embedding norms before/after."""
+    """What a modification removed: the zeroed 1-based indices, the
+    coefficient energy taken out, and the embedding norms before/after.
+    Floats from :func:`modify`; per-row vectors from
+    :func:`modify_batch_with_reports`."""
 
     zeroed_indices: tuple[int, ...]
-    removed_energy: float
-    original_norm: float
-    modified_norm: float
+    removed_energy: float | np.ndarray
+    original_norm: float | np.ndarray
+    modified_norm: float | np.ndarray
+
+
+def _remove_block(
+    space: VariabilitySpace, rows: np.ndarray, indices: tuple[int, ...], renormalize: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """The one modification kernel: ``rows - (rows B_S) B_S^T`` for an (N, D)
+    matrix, where ``B_S`` holds the basis columns at ``indices``. Returns the
+    modified rows and each row's removed energy. Size-0 blocks copy."""
+    if not indices:
+        return rows.copy(), np.zeros(len(rows))
+    block = space.basis[:, [i - 1 for i in indices]]
+    # einsum sums each coefficient in the same order whatever the row count
+    # (a matmul would switch between gemv and gemm), so a one-row call
+    # reproduces its row of a batch call bit for bit
+    coeff = np.einsum("nd,dk->nk", rows, block)
+    modified = coeff @ block.T
+    np.subtract(rows, modified, out=modified)
+    if renormalize:
+        norm = np.linalg.norm(modified, axis=1, keepdims=True)
+        np.divide(modified, norm, out=modified, where=norm > 1e-30)
+    return modified, np.einsum("nk,nk->n", coeff, coeff)
 
 
 def modify(
@@ -118,7 +142,8 @@ def modify(
     spec: SubspaceSpec,
     renormalize: bool = False,
 ) -> tuple[np.ndarray, ModificationReport]:
-    """Zero the spec's coefficients of ``x`` in the variability basis.
+    """Zero the spec's coefficients of ``x`` in the variability basis: a
+    one-row call of the batch kernel behind :func:`modify_batch`.
 
     Returns the modified embedding and a report. A size-0 spec returns an
     exact copy of the input (no projection round-trip). ``renormalize`` is
@@ -126,25 +151,15 @@ def modify(
     leaving an all-zero result as is.
     """
     indices = resolve_indices(spec, space.dim)
-    coeff = project(space, x)
-    original_norm = float(np.linalg.norm(x))
-    if not indices:
-        modified = np.array(x, dtype=np.float64, copy=True)
-        return modified, ModificationReport((), 0.0, original_norm, original_norm)
-    zero_rows = [i - 1 for i in indices]
-    removed = float(np.sum(coeff[zero_rows] ** 2))
-    coeff = coeff.copy()
-    coeff[zero_rows] = 0.0
-    modified = reconstruct(space, coeff)
-    if renormalize:
-        norm = float(np.linalg.norm(modified))
-        if norm > 1e-30:
-            modified = modified * (1.0 / norm)
-    return modified, ModificationReport(
+    vec = as_vector(x, "embedding")
+    if vec.size != space.dim:
+        raise DataError(f"embedding dimension {vec.size} != space dimension {space.dim}")
+    rows, removed = _remove_block(space, vec[np.newaxis], indices, renormalize)
+    return rows[0], ModificationReport(
         zeroed_indices=indices,
-        removed_energy=removed,
-        original_norm=original_norm,
-        modified_norm=float(np.linalg.norm(modified)),
+        removed_energy=float(removed[0]),
+        original_norm=float(np.linalg.norm(vec)),
+        modified_norm=float(np.linalg.norm(rows[0])),
     )
 
 
@@ -154,10 +169,9 @@ def modify_batch(
     spec: SubspaceSpec,
     renormalize: bool = False,
 ) -> EmbeddingSet:
-    """Element-wise :func:`modify` over a whole set; ids and order are
-    preserved. The first failing element aborts, naming its utterance id."""
-    modified, _ = modify_batch_with_reports(space, embeddings, spec, renormalize)
-    return modified
+    """:func:`modify` applied to every row of a set at once; ids and order
+    are preserved."""
+    return _modify_set(space, embeddings, spec, renormalize)[0]
 
 
 def modify_batch_with_reports(
@@ -165,16 +179,25 @@ def modify_batch_with_reports(
     embeddings: EmbeddingSet,
     spec: SubspaceSpec,
     renormalize: bool = False,
-) -> tuple[EmbeddingSet, list[ModificationReport]]:
-    rows = np.empty_like(embeddings.vectors)
-    reports = []
-    for i, (utt, _, vec) in enumerate(embeddings.records()):
-        try:
-            rows[i], report = modify(space, vec, spec, renormalize=renormalize)
-        except DataError as exc:
-            raise DataError(f"utterance '{utt}': {exc}") from None
-        reports.append(report)
-    result = EmbeddingSet(embeddings.utt_ids, embeddings.spk_ids, rows)
-    return result, reports
+) -> tuple[EmbeddingSet, ModificationReport]:
+    """:func:`modify_batch` plus one report whose energy and norm fields are
+    per-row vectors."""
+    modified, removed = _modify_set(space, embeddings, spec, renormalize)
+    return modified, ModificationReport(
+        zeroed_indices=resolve_indices(spec, space.dim),
+        removed_energy=removed,
+        original_norm=np.linalg.norm(embeddings.vectors, axis=1),
+        modified_norm=np.linalg.norm(modified.vectors, axis=1),
+    )
 
 
+def _modify_set(space, embeddings, spec, renormalize) -> tuple[EmbeddingSet, np.ndarray]:
+    indices = resolve_indices(spec, space.dim)
+    if embeddings.dim != space.dim:
+        # every row shares the dimension, so the first one is where it fails
+        raise DataError(
+            f"utterance '{embeddings.utt_ids[0]}': embedding dimension "
+            f"{embeddings.dim} != space dimension {space.dim}"
+        )
+    rows, removed = _remove_block(space, embeddings.vectors, indices, renormalize)
+    return EmbeddingSet(embeddings.utt_ids, embeddings.spk_ids, rows), removed

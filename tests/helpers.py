@@ -8,6 +8,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from varispace import (
+    SubspaceSpec,
+    SweepRow,
+    build_enrollment,
+    compute_eer,
+    modify_batch,
+    score_trials,
+)
+
 
 def direct_covariance(rows: list[np.ndarray]) -> np.ndarray:
     """Sum-of-outer-products covariance, entry by entry."""
@@ -124,3 +133,37 @@ def deltas_to_eigenvalues(values: np.ndarray) -> np.ndarray:
     ``values`` (all entries must be <= 0)."""
     logs = np.concatenate([[0.0], np.cumsum(values)])
     return np.exp(logs)
+
+
+def per_k_sweep_oracle(
+    space, embeddings, trials, family, k_values, turning_dim=None, clean_enrollment=False
+) -> tuple[SweepRow, ...]:
+    """Sweep rows the long way: for every size K, modify the whole set,
+    rebuild the enrollment models, rescore every trial and take the EER.
+    It composes the library's per-stage functions, so it shares none of
+    ``run_sweep``'s coefficient-space arithmetic."""
+    rows = []
+    for k in k_values:
+        if family == "primary":
+            spec = SubspaceSpec(1, k, "+", family=family)
+        elif family == "secondary":
+            spec = SubspaceSpec(turning_dim, k, "-", family=family)
+        else:
+            spec = SubspaceSpec(space.dim, k, "-", family=family)
+        modified = modify_batch(space, embeddings, spec)
+        enroll_source = embeddings if clean_enrollment else modified
+        wanted = {t.enroll_speaker for t in trials} & set(enroll_source.speakers())
+        models = {s: build_enrollment(enroll_source, s) for s in sorted(wanted)}
+        result = compute_eer(score_trials(models, modified, trials))
+        rows.append(
+            SweepRow(
+                family=family,
+                start=spec.start,
+                size=k,
+                direction=spec.direction,
+                eer_percent=result.eer_percent,
+                n_target=result.n_target,
+                n_nontarget=result.n_nontarget,
+            )
+        )
+    return tuple(rows)

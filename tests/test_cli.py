@@ -296,6 +296,21 @@ class TestSweep:
         )
         assert read_sweep_csv(workdir / "b.csv") == expected
 
+    @pytest.mark.parametrize(
+        "family_args", [["primary"], ["residual"], ["secondary", "--is", "8"]]
+    )
+    def test_full_removal_rejected_up_front(self, workdir, capsys, family_args):
+        out = workdir / "full.csv"
+        assert main(["sweep", "--space", str(workdir / "space.vsp"),
+                     "--embeddings", str(workdir / "emb.csv"),
+                     "--trials", str(workdir / "trials.txt"),
+                     "--family", *family_args, "--k", "0:8:4",
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:data:sweep size 8 removes all 8 dimensions")
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_bad_k_range(self, workdir, capsys):
         assert main(["sweep", "--space", str(workdir / "space.vsp"),
                      "--embeddings", str(workdir / "emb.csv"),

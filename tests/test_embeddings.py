@@ -30,6 +30,9 @@ class TestEmbeddingSet:
         assert emb.dim == 4
         assert emb.speakers() == ("spk0", "spk1", "spk2")
         assert emb.utterances_of("spk1") == ("utt01", "utt04")
+        assert emb.speaker_rows("spk1").tolist() == [1, 4]
+        assert emb.speaker_rows("nobody").size == 0
+        assert emb.row("utt03") == 3
         assert np.array_equal(emb.vector("utt03"), emb.vectors[3])
 
     def test_duplicate_utterance_rejected(self):

@@ -110,6 +110,21 @@ class TestScoreTrials:
             expected = cosine(models[t.enroll_speaker], emb.vector(t.test_utterance))
             assert scored.scores[i] == expected
 
+    def test_scores_across_chunks_match_per_pair_cosine(self):
+        # more trials than one scoring chunk holds
+        rng = np.random.default_rng(16)
+        emb = _set([f"u{i}" for i in range(50)], [f"s{i % 5}" for i in range(50)],
+                   rng.standard_normal((50, 12)))
+        models = {f"s{j}": rng.standard_normal(12) for j in range(5)}
+        trials = TrialList(tuple(
+            Trial(f"s{int(rng.integers(5))}", f"u{int(rng.integers(50))}", bool(i % 2))
+            for i in range(9000)
+        ))
+        scored = score_trials(models, emb, trials)
+        expected = [cosine(models[t.enroll_speaker], emb.vector(t.test_utterance)) for t in trials]
+        assert scored.scores.tolist() == expected
+        assert scored.labels.tolist() == [t.target for t in trials]
+
     def test_unknown_speaker_names_line(self):
         emb = _set(["u1"], ["a"], [[1.0, 0.0]])
         trials = TrialList((Trial("a", "u1", True, line=3), Trial("z", "u1", False, line=9)))
@@ -262,6 +277,15 @@ class TestRunSweep:
         with pytest.raises(DataError) as err:
             run_sweep(space, emb, _all_trials(emb, rng), "primary", [0, 99])
         assert "99" in str(err.value)
+
+    @pytest.mark.parametrize("family", ["primary", "secondary", "residual"])
+    def test_full_removal_names_size_and_dimension(self, family):
+        rng = np.random.default_rng(15)
+        emb = _population(rng)
+        space = fit(emb)
+        with pytest.raises(DataError) as err:
+            run_sweep(space, emb, _all_trials(emb, rng), family, [0, 8], turning_dim=8)
+        assert "sweep size 8 removes all 8 dimensions" in str(err.value)
 
     def test_clean_enrollment_differs(self):
         rng = np.random.default_rng(12)

@@ -221,7 +221,7 @@ class TestModifyBatch:
         for i in range(10):
             single, report = modify(space, batch.vectors[i], spec)
             assert np.max(np.abs(out.vectors[i] - single)) <= 1e-12
-            assert reports[i].removed_energy == report.removed_energy
+            assert reports.removed_energy[i] == report.removed_energy
 
     def test_failure_names_utterance(self):
         rng = np.random.default_rng(71)
