@@ -6,7 +6,8 @@ from __future__ import annotations
 import csv
 import io
 import struct
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +110,33 @@ class EmbeddingSet:
             yield utt, spk, self.vectors[i]
 
 
+@contextmanager
+def open_text(source, newline=None):
+    """Open a UTF-8 text file for reading. Bytes that are not UTF-8 raise
+    FormatError naming the file and the byte offset of the first bad one."""
+    try:
+        with open(source, "r", encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError:
+        # the reader decodes in chunks and reports offsets within one chunk;
+        # decoding the whole file again gives the offset within the file
+        with open(source, "rb") as fh:
+            try:
+                fh.read().decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(
+                    f"{source}: not UTF-8 text at byte offset {exc.start} ({exc.reason})"
+                ) from None
+        raise
+
+
+def _utf8(value: str) -> bytes:
+    try:
+        return value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise DataError(f"id {value!r} cannot be encoded as UTF-8") from None
+
+
 def detect_format(source) -> str:
     """Sniff whether a file is a binary or CSV embedding set."""
     with open(source, "rb") as fh:
@@ -139,23 +167,26 @@ def save_embeddings(embeddings: EmbeddingSet, destination, format: str = "csv") 
 
 def _save_csv(embeddings: EmbeddingSet, destination) -> None:
     d = embeddings.dim
+    for value in embeddings.utt_ids + embeddings.spk_ids:
+        _utf8(value)
     # ids go through the csv module for its quoting; the values, which never
-    # need quoting, through one %-template per row
+    # need quoting, through one %-template per row. The "\r\n" terminator
+    # makes the writer quote ids holding a lone "\r" as well as "\n".
     line = ",".join(["%s"] + ["%.17g"] * d) + "\n"
     ids = io.StringIO()
-    id_writer = csv.writer(ids, lineterminator="\n")
+    id_writer = csv.writer(ids, lineterminator="\r\n")
     with open(destination, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["utt_id", "spk_id"] + [f"d{i}" for i in range(1, d + 1)])
         for utt, spk, vec in embeddings.records():
             id_writer.writerow((utt, spk))
-            fh.write(line % (ids.getvalue()[:-1], *vec.tolist()))
+            fh.write(line % (ids.getvalue()[:-2], *vec.tolist()))
             ids.seek(0)
             ids.truncate()
 
 
 def _load_csv(source) -> EmbeddingSet:
-    with open(source, "r", encoding="utf-8", newline="") as fh:
+    with open_text(source, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -191,8 +222,8 @@ def _save_binary(embeddings: EmbeddingSet, destination) -> None:
     out = bytearray()
     out += struct.pack("<4sIIQ", EMBEDDINGS_MAGIC, EMBEDDINGS_VERSION, d, len(embeddings))
     for utt, spk, vec in embeddings.records():
-        utt_b = utt.encode("utf-8")
-        spk_b = spk.encode("utf-8")
+        utt_b = _utf8(utt)
+        spk_b = _utf8(spk)
         if len(utt_b) > 0xFFFF or len(spk_b) > 0xFFFF:
             raise DataError(f"id too long for binary format: '{utt}'")
         out += struct.pack("<H", len(utt_b))
@@ -266,12 +297,17 @@ class Trial:
 @dataclass(frozen=True)
 class TrialList:
     entries: tuple[Trial, ...]
+    n_target: int = field(init=False)
+    n_nontarget: int = field(init=False)
 
     def __post_init__(self):
         entries = tuple(self.entries)
         if not entries:
             raise DataError("trial list is empty")
+        n_target = sum(1 for t in entries if t.target)
         object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "n_target", n_target)
+        object.__setattr__(self, "n_nontarget", len(entries) - n_target)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -279,20 +315,12 @@ class TrialList:
     def __iter__(self):
         return iter(self.entries)
 
-    @property
-    def n_target(self) -> int:
-        return sum(1 for t in self.entries if t.target)
-
-    @property
-    def n_nontarget(self) -> int:
-        return sum(1 for t in self.entries if not t.target)
-
 
 def load_trials(source) -> TrialList:
     """Parse a whitespace-separated trial file:
     ``<enroll_spk> <test_utt> <target|nontarget>`` per line."""
     entries = []
-    with open(source, "r", encoding="utf-8") as fh:
+    with open_text(source) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
@@ -314,7 +342,19 @@ def load_trials(source) -> TrialList:
 
 
 def save_trials(trials: TrialList, destination) -> None:
+    """Write a trial file that :func:`load_trials` reads back. Ids the format
+    cannot carry (empty, holding whitespace, or not encodable as UTF-8) are
+    rejected before the file is opened."""
+    lines = []
+    for t in trials:
+        for value in (t.enroll_speaker, t.test_utterance):
+            if value.split() != [value]:
+                raise DataError(
+                    f"id {value!r} cannot be written to a trial file: "
+                    "ids must be non-empty and free of whitespace"
+                )
+            _utf8(value)
+        label = "target" if t.target else "nontarget"
+        lines.append(f"{t.enroll_speaker} {t.test_utterance} {label}\n")
     with open(destination, "w", encoding="utf-8", newline="") as fh:
-        for t in trials:
-            label = "target" if t.target else "nontarget"
-            fh.write(f"{t.enroll_speaker} {t.test_utterance} {label}\n")
+        fh.writelines(lines)

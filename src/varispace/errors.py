@@ -14,4 +14,5 @@ class FormatError(DataError):
 
 
 class NumericalError(VarispaceError, RuntimeError):
-    """An iterative numerical procedure failed to converge."""
+    """A numerical procedure failed: it did not converge, or its result
+    overflows float64."""

@@ -1,13 +1,11 @@
 """Dense double-precision numeric substrate: input validation, sample
-covariance estimation, and a deterministic symmetric eigensolver.
+covariance estimation, and a symmetric eigensolver (LAPACK via numpy).
 
 Vectors are 1-D float64 arrays, matrices 2-D float64 arrays. All functions
 are pure; returned arrays never alias their inputs.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -54,6 +52,11 @@ def covariance(vectors) -> np.ndarray:
     -------
     (D, D) float64 array, exactly symmetric and positive semidefinite up to
     round-off.
+
+    Raises
+    ------
+    NumericalError
+        If the covariance of finite observations overflows float64.
     """
     if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
         data = as_matrix(vectors, "observations")
@@ -73,22 +76,19 @@ def covariance(vectors) -> np.ndarray:
     n = data.shape[0]
     if n < 2:
         raise DataError(f"covariance requires at least 2 observations, got {n}")
-    centered = data - data.mean(axis=0)
-    cov = centered.T @ centered / (n - 1)
-    # BLAS accumulation order may differ across the diagonal; make symmetry exact.
-    return 0.5 * (cov + cov.T)
-
-
-def _off_diag_mass(a: np.ndarray) -> float:
-    # summed directly, not as total minus diagonal: that difference cancels
-    # catastrophically once the matrix is nearly diagonal
-    off = a.copy()
-    np.fill_diagonal(off, 0.0)
-    return math.sqrt(float(np.sum(off * off)))
-
-
-def _diag_mass(a: np.ndarray) -> float:
-    return math.sqrt(float(np.sum(np.diag(a) ** 2)))
+    # Finite entries far from zero can still overflow the products; that is a
+    # numerical failure of the fit, not bad data, so report it as such.
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = data - data.mean(axis=0)
+        cov = centered.T @ centered / (n - 1)
+        # BLAS accumulation order may differ across the diagonal; make symmetry exact.
+        cov = 0.5 * (cov + cov.T)
+    if not np.all(np.isfinite(cov)):
+        raise NumericalError(
+            f"covariance of {n} observations overflows float64 "
+            f"(max |entry| {float(np.max(np.abs(data))):.3e})"
+        )
+    return cov
 
 
 def fix_eigvec_signs(basis: np.ndarray) -> None:
@@ -103,33 +103,26 @@ def fix_eigvec_signs(basis: np.ndarray) -> None:
             basis[:, j] = -col
 
 
-def eig_sym(
-    matrix,
-    max_sweeps: int = 100,
-    rel_tol: float = 1e-12,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps run until the Frobenius mass of the off-diagonal part drops below
-    ``rel_tol`` times the on-diagonal mass (checked before each sweep, so an
-    already-diagonal matrix performs no rotations), capped at ``max_sweeps``.
+def eig_sym(matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a symmetric matrix by LAPACK (``np.linalg.eigh``).
 
     Returns
     -------
     (basis, eigenvalues):
         ``basis`` is (D, D) with orthonormal eigenvector columns,
-        ``eigenvalues`` is (D,) sorted descending. The order of exactly tied
-        eigenvalues follows a stable sort of the converged diagonal. Each
+        ``eigenvalues`` is (D,) sorted descending. Exactly tied eigenvalues
+        keep LAPACK's order (a stable sort of its ascending output). Each
         eigenvector is signed so its largest-magnitude entry is positive.
+        Output bytes are reproducible for a fixed BLAS build and thread
+        count, not across them.
 
     Raises
     ------
     DataError
-        If the input is not symmetric within ``SYMMETRY_RTOL`` relative
-        asymmetry.
+        If the input is not square, or not symmetric within
+        ``SYMMETRY_RTOL`` relative asymmetry.
     NumericalError
-        If the off-diagonal mass has not met the target after ``max_sweeps``
-        sweeps.
+        If LAPACK reports that the decomposition did not converge.
     """
     s = as_matrix(matrix, "matrix")
     d = s.shape[0]
@@ -142,60 +135,10 @@ def eig_sym(
             f"matrix is not symmetric: asymmetry {asym:.3e} exceeds "
             f"{SYMMETRY_RTOL:.0e} relative to max |entry| {scale:.3e}"
         )
-
-    a = 0.5 * (s + s.T)
-    v = np.eye(d)
-    converged = False
-    for _ in range(max_sweeps):
-        on_mass = _diag_mass(a)
-        if _off_diag_mass(a) <= rel_tol * on_mass:
-            converged = True
-            break
-        # Rotations below this leave at most a tenth of the target mass behind,
-        # so skipping them cannot stall convergence.
-        skip = rel_tol * on_mass / (10.0 * d)
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                diff = a[q, q] - a[p, p]
-                if abs(apq) < 1e-36 * abs(diff):
-                    t = apq / diff
-                else:
-                    theta = diff / (2.0 * apq)
-                    t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                    if theta < 0.0:
-                        t = -t
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                sn = t * c
-                ap = a[p, :].copy()
-                aq = a[q, :].copy()
-                t1 = c * ap - sn * aq
-                t2 = sn * ap + c * aq
-                t1p = c * t1[p] - sn * t1[q]
-                t2q = sn * t2[p] + c * t2[q]
-                t1[p] = t1p
-                t1[q] = 0.0
-                t2[p] = 0.0
-                t2[q] = t2q
-                a[p, :] = t1
-                a[:, p] = t1
-                a[q, :] = t2
-                a[:, q] = t2
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - sn * vq
-                v[:, q] = sn * vp + c * vq
-    else:
-        converged = _off_diag_mass(a) <= rel_tol * _diag_mass(a)
-    if not converged:
-        raise NumericalError(
-            f"jacobi sweep limit ({max_sweeps}) reached; off-diagonal mass "
-            f"{_off_diag_mass(a):.3e} vs target {rel_tol * _diag_mass(a):.3e}"
-        )
-
-    lam = np.diag(a).copy()
+    try:
+        lam, v = np.linalg.eigh(0.5 * (s + s.T))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"symmetric eigensolver failed: {exc}") from None
     order = np.argsort(-lam, kind="stable")
     lam = lam[order]
     v = np.ascontiguousarray(v[:, order])

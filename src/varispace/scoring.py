@@ -10,7 +10,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .embeddings import EmbeddingSet, TrialList
+from .embeddings import EmbeddingSet, TrialList, open_text
 from .errors import DataError, FormatError
 from .space import VariabilitySpace
 from .subspace import BACKWARD, FORWARD, SubspaceSpec, resolve_indices
@@ -331,7 +331,7 @@ def write_sweep_csv(result: SweepResult, destination) -> None:
 
 
 def read_sweep_csv(source) -> SweepResult:
-    with open(source, "r", encoding="utf-8", newline="") as fh:
+    with open_text(source, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows or rows[0] != SWEEP_HEADER:
         raise FormatError("sweep CSV has a bad header")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embeddings import EmbeddingSet
+from .embeddings import EmbeddingSet, open_text
 from .errors import DataError, FormatError
 from .linalg import as_matrix, as_vector, covariance, eig_sym
 
@@ -309,7 +309,7 @@ def write_spectrum_csv(space: VariabilitySpace, destination) -> None:
 
 def read_spectrum_csv(source) -> tuple[np.ndarray, np.ndarray]:
     """Parse a spectrum CSV back into (log_eigenvalues, deltas)."""
-    with open(source, "r", encoding="utf-8", newline="") as fh:
+    with open_text(source, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows or rows[0] != ["index", "log_eigenvalue", "delta"]:
         raise FormatError("spectrum CSV has a bad header")

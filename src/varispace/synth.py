@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingSet, Trial, TrialList
+from .embeddings import EmbeddingSet, Trial, TrialList, open_text
 from .errors import DataError, NumericalError
 from .scoring import ScoredTrials
 
@@ -39,12 +39,16 @@ class CounterRng:
             raise DataError("draw count must be >= 0")
         start = self._drawn
         self._drawn += n
-        counters = np.arange(start + 1, start + n + 1, dtype=np.uint64)
+        z = np.arange(start + 1, start + n + 1, dtype=np.uint64)
+        # in place, so a population-sized draw holds one word array at a time
         with np.errstate(over="ignore"):
-            z = self._seed + counters * _GAMMA
-            z = (z ^ (z >> np.uint64(30))) * _MIX1
-            z = (z ^ (z >> np.uint64(27))) * _MIX2
-            z = z ^ (z >> np.uint64(31))
+            z *= _GAMMA
+            z += self._seed
+            z ^= z >> np.uint64(30)
+            z *= _MIX1
+            z ^= z >> np.uint64(27)
+            z *= _MIX2
+            z ^= z >> np.uint64(31)
         return z
 
     def uniforms(self, n: int) -> np.ndarray:
@@ -170,7 +174,7 @@ def parse_population_config(text: str) -> PopulationConfig:
 
 
 def load_population_config(source) -> PopulationConfig:
-    with open(source, "r", encoding="utf-8") as fh:
+    with open_text(source) as fh:
         return parse_population_config(fh.read())
 
 

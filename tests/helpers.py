@@ -6,9 +6,13 @@ plain loops, separate from the library code paths it is used to check.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from varispace import (
+    DataError,
+    NumericalError,
     SubspaceSpec,
     SweepRow,
     build_enrollment,
@@ -16,6 +20,7 @@ from varispace import (
     modify_batch,
     score_trials,
 )
+from varispace.linalg import SYMMETRY_RTOL, as_matrix, fix_eigvec_signs
 
 
 def direct_covariance(rows: list[np.ndarray]) -> np.ndarray:
@@ -38,6 +43,121 @@ def eig2x2_charpoly(s: np.ndarray) -> tuple[float, float]:
     half_trace = 0.5 * (a + c)
     root = np.sqrt(0.25 * (a - c) ** 2 + b * b)
     return half_trace + root, half_trace - root
+
+
+def _off_diag_mass(a: np.ndarray) -> float:
+    # summed directly, not as total minus diagonal: that difference cancels
+    # catastrophically once the matrix is nearly diagonal
+    off = a.copy()
+    np.fill_diagonal(off, 0.0)
+    return math.sqrt(float(np.sum(off * off)))
+
+
+def _diag_mass(a: np.ndarray) -> float:
+    return math.sqrt(float(np.sum(np.diag(a) ** 2)))
+
+
+def jacobi_eig_oracle(
+    matrix,
+    max_sweeps: int = 100,
+    rel_tol: float = 1e-12,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations:
+    the independent check on ``eig_sym`` above the dimension ``brute_eig``
+    can handle. Jacobi is accurate to high relative precision on the small
+    eigenvalues of PSD matrices, which the log-spectrum tail depends on.
+
+    Sweeps run until the Frobenius mass of the off-diagonal part drops below
+    ``rel_tol`` times the on-diagonal mass (checked before each sweep, so an
+    already-diagonal matrix performs no rotations), capped at ``max_sweeps``.
+
+    Returns
+    -------
+    (basis, eigenvalues):
+        ``basis`` is (D, D) with orthonormal eigenvector columns,
+        ``eigenvalues`` is (D,) sorted descending. The order of exactly tied
+        eigenvalues follows a stable sort of the converged diagonal. Each
+        eigenvector is signed so its largest-magnitude entry is positive.
+
+    Raises
+    ------
+    DataError
+        If the input is not symmetric within ``SYMMETRY_RTOL`` relative
+        asymmetry.
+    NumericalError
+        If the off-diagonal mass has not met the target after ``max_sweeps``
+        sweeps.
+    """
+    s = as_matrix(matrix, "matrix")
+    d = s.shape[0]
+    if s.shape[1] != d:
+        raise DataError(f"matrix must be square, got shape {s.shape}")
+    scale = float(np.max(np.abs(s)))
+    asym = float(np.max(np.abs(s - s.T)))
+    if asym > SYMMETRY_RTOL * scale:
+        raise DataError(
+            f"matrix is not symmetric: asymmetry {asym:.3e} exceeds "
+            f"{SYMMETRY_RTOL:.0e} relative to max |entry| {scale:.3e}"
+        )
+
+    a = 0.5 * (s + s.T)
+    v = np.eye(d)
+    converged = False
+    for _ in range(max_sweeps):
+        on_mass = _diag_mass(a)
+        if _off_diag_mass(a) <= rel_tol * on_mass:
+            converged = True
+            break
+        # Rotations below this leave at most a tenth of the target mass behind,
+        # so skipping them cannot stall convergence.
+        skip = rel_tol * on_mass / (10.0 * d)
+        for p in range(d - 1):
+            for q in range(p + 1, d):
+                apq = a[p, q]
+                if abs(apq) <= skip:
+                    continue
+                diff = a[q, q] - a[p, p]
+                if abs(apq) < 1e-36 * abs(diff):
+                    t = apq / diff
+                else:
+                    theta = diff / (2.0 * apq)
+                    t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
+                    if theta < 0.0:
+                        t = -t
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                sn = t * c
+                ap = a[p, :].copy()
+                aq = a[q, :].copy()
+                t1 = c * ap - sn * aq
+                t2 = sn * ap + c * aq
+                t1p = c * t1[p] - sn * t1[q]
+                t2q = sn * t2[p] + c * t2[q]
+                t1[p] = t1p
+                t1[q] = 0.0
+                t2[p] = 0.0
+                t2[q] = t2q
+                a[p, :] = t1
+                a[:, p] = t1
+                a[q, :] = t2
+                a[:, q] = t2
+                vp = v[:, p].copy()
+                vq = v[:, q].copy()
+                v[:, p] = c * vp - sn * vq
+                v[:, q] = sn * vp + c * vq
+    else:
+        converged = _off_diag_mass(a) <= rel_tol * _diag_mass(a)
+    if not converged:
+        raise NumericalError(
+            f"jacobi sweep limit ({max_sweeps}) reached; off-diagonal mass "
+            f"{_off_diag_mass(a):.3e} vs target {rel_tol * _diag_mass(a):.3e}"
+        )
+
+    lam = np.diag(a).copy()
+    order = np.argsort(-lam, kind="stable")
+    lam = lam[order]
+    v = np.ascontiguousarray(v[:, order])
+    fix_eigvec_signs(v)
+    return v, lam
 
 
 def cofactor_det(m: np.ndarray) -> float:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,28 @@ class TestFit:
         assert main(["fit", "--embeddings", str(tmp_path / "missing.csv"),
                      "--out", str(tmp_path / "x.vsp")]) == 3
         assert capsys.readouterr().err.startswith("error:io:")
+
+    def test_covariance_overflow_is_numerical_error(self, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        path.write_text(
+            "utt_id,spk_id,d1,d2\nu1,a,1e200,1\nu2,a,-1e200,2\nu3,b,3e199,-1\n"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["fit", "--embeddings", str(path), "--out", str(tmp_path / "x.vsp")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:numerical:") and err.count("\n") == 1
+        assert not (tmp_path / "x.vsp").exists()
+
+    def test_non_utf8_id_is_one_data_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"utt_id,spk_id,d1\nu1,a,1\n\xff\xfe,a,2\n")
+        code = main(["fit", "--embeddings", str(path), "--out", str(tmp_path / "x.vsp")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:data:") and err.count("\n") == 1
+        assert "byte offset 24" in err
 
 
 class TestSpectrum:

@@ -9,7 +9,10 @@ from varispace import (
     TrialList,
     detect_format,
     load_embeddings,
+    load_population_config,
     load_trials,
+    read_spectrum_csv,
+    read_sweep_csv,
     save_embeddings,
     save_trials,
 )
@@ -119,6 +122,26 @@ class TestCsvFormat:
         assert loaded.utt_ids == ("u,1", "u2")
         assert loaded.spk_ids == ("s,p", "s")
 
+    def test_line_breaks_in_ids_round_trip(self, tmp_path):
+        utts = ("a\rb", "c\nd", "e\r\nf", "g\r")
+        spks = ("s\r", "s\r", "t", "t")
+        emb = EmbeddingSet(utts, spks, np.arange(8.0).reshape(4, 2))
+        path = tmp_path / "emb.csv"
+        save_embeddings(emb, path, format="csv")
+        loaded = load_embeddings(path)
+        assert loaded.utt_ids == utts
+        assert loaded.spk_ids == spks
+        assert np.array_equal(loaded.vectors, emb.vectors)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "binary"])
+def test_writers_reject_ids_utf8_cannot_encode(tmp_path, fmt):
+    emb = EmbeddingSet(("u1", "u\ud800"), ("s", "s"), np.eye(2))
+    path = tmp_path / "emb.out"
+    with pytest.raises(DataError, match=r"\\ud800"):
+        save_embeddings(emb, path, format=fmt)
+    assert not path.exists()
+
 
 class TestBinaryFormat:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -225,3 +248,53 @@ class TestTrials:
         path.write_text("\n\n")
         with pytest.raises(DataError):
             load_trials(path)
+
+    def test_counts_stored_at_construction(self):
+        trials = TrialList((Trial("a", "u1", True), Trial("b", "u1", False), Trial("b", "u2", False)))
+        assert vars(trials)["n_target"] == trials.n_target == 1
+        assert vars(trials)["n_nontarget"] == trials.n_nontarget == 2
+
+    def test_unicode_ids_round_trip(self, tmp_path):
+        trials = TrialList((Trial("спикер", "码u1", True), Trial("s,2", "u\"2", False)))
+        path = tmp_path / "trials.txt"
+        save_trials(trials, path)
+        loaded = load_trials(path)
+        assert [(t.enroll_speaker, t.test_utterance, t.target) for t in loaded] == [
+            ("спикер", "码u1", True),
+            ("s,2", 'u"2', False),
+        ]
+
+    @pytest.mark.parametrize(
+        "bad", ["spk 1", "spk\t1", "spk\r1", "spk\n1", "spk\u20281", "", "u\ud800"]
+    )
+    def test_writer_rejects_ids_the_format_cannot_carry(self, tmp_path, bad):
+        trials = TrialList((Trial("ok", "u1", True), Trial("ok", bad, False)))
+        path = tmp_path / "trials.txt"
+        with pytest.raises(DataError) as err:
+            save_trials(trials, path)
+        assert repr(bad) in str(err.value)
+        assert not path.exists()
+
+
+TEXT_LOADERS = {
+    "trials": (load_trials, b"spk1 utt1 target\n"),
+    "trials-past-first-chunk": (load_trials, b"spk1 utt1 target\n" * 1000),
+    "embeddings-csv": (load_embeddings, b"utt_id,spk_id,d1\nu1,s1,0.5\n"),
+    "population-config": (load_population_config, b"n_speakers=4\n"),
+    "spectrum-csv": (read_spectrum_csv, b"index,log_eigenvalue,delta\n"),
+    "sweep-csv": (
+        read_sweep_csv,
+        b"family,start,size,direction,eer_percent,n_target,n_nontarget\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(TEXT_LOADERS))
+def test_non_utf8_names_file_and_byte_offset(tmp_path, name):
+    loader, prefix = TEXT_LOADERS[name]
+    path = tmp_path / "input.txt"
+    path.write_bytes(prefix + b"\xff\xfe,x\n")
+    with pytest.raises(FormatError) as err:
+        loader(path)
+    assert str(path) in str(err.value)
+    assert f"byte offset {len(prefix)} " in str(err.value)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import cofactor_det, direct_covariance, eig2x2_charpoly
+from helpers import cofactor_det, direct_covariance, eig2x2_charpoly, jacobi_eig_oracle
 from varispace import DataError, NumericalError, covariance, eig_sym
 
 
@@ -44,6 +44,11 @@ class TestCovariance:
     def test_non_finite(self):
         with pytest.raises(DataError):
             covariance([np.array([1.0, np.nan]), np.array([0.0, 1.0])])
+
+    def test_overflow_is_numerical_error(self):
+        data = np.array([[1e200, 1.0], [-1e200, 2.0], [3e199, 0.5]])
+        with pytest.raises(NumericalError, match="overflows"):
+            covariance(data)
 
 
 class TestEigSym:
@@ -125,13 +130,23 @@ class TestEigSym:
         with pytest.raises(DataError):
             eig_sym(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
-    def test_non_convergence_reported(self):
-        m = np.random.default_rng(26).standard_normal((6, 6))
-        s = 0.5 * (m + m.T)
-        with pytest.raises(NumericalError):
-            eig_sym(s, max_sweeps=1)
+    def test_lapack_failure_is_numerical_error(self, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NumericalError, match="did not converge"):
+            eig_sym(np.eye(3))
 
     def test_single_dimension(self):
         basis, lam = eig_sym(np.array([[4.0]]))
         assert np.array_equal(basis, [[1.0]])
         assert np.array_equal(lam, [4.0])
+
+
+class TestJacobiOracle:
+    def test_non_convergence_reported(self):
+        m = np.random.default_rng(26).standard_normal((6, 6))
+        s = 0.5 * (m + m.T)
+        with pytest.raises(NumericalError):
+            jacobi_eig_oracle(s, max_sweeps=1)
