@@ -3,8 +3,8 @@
 Fit an orthonormal variability space from labeled speaker embeddings, zero
 configurable coefficient blocks to build pseudo-speaker embeddings, and
 measure the effect on automatic speaker verification with cosine scoring
-and pooled equal-error-rate sweeps. Includes a synthetic-population
-generator and independent brute-force oracles for end-to-end verification.
+and pooled equal-error-rate sweeps. Includes a seeded synthetic-population
+generator.
 """
 
 from .embeddings import (
@@ -59,8 +59,6 @@ from .subspace import (
 from .synth import (
     CounterRng,
     PopulationConfig,
-    brute_eer,
-    brute_eig,
     generate,
     load_population_config,
     make_trials,
@@ -88,8 +86,6 @@ __all__ = [
     "TurningPoint",
     "VariabilitySpace",
     "VarispaceError",
-    "brute_eer",
-    "brute_eig",
     "build_enrollment",
     "compute_eer",
     "cosine",

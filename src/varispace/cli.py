@@ -62,7 +62,7 @@ def _parse_k_range(text: str) -> list[int]:
 
 
 def _cmd_fit(args) -> int:
-    embeddings = load_embeddings(args.embeddings, format=args.format)
+    embeddings = load_embeddings(args.embeddings)
     space = fit(embeddings)
     save_space(space, args.out)
     lam = space.eigenvalues
@@ -97,7 +97,7 @@ def _cmd_detect_knee(args) -> int:
 def _cmd_modify(args) -> int:
     space = load_space(args.space)
     spec = parse_spec(args.spec)
-    embeddings = load_embeddings(args.embeddings, format="auto")
+    embeddings = load_embeddings(args.embeddings)
     modified, report = modify_batch_with_reports(space, embeddings, spec)
     out_format = args.format if args.format != "auto" else detect_format(args.embeddings)
     save_embeddings(modified, args.out, format=out_format)
@@ -108,8 +108,8 @@ def _cmd_modify(args) -> int:
 
 
 def _cmd_eer(args) -> int:
-    enroll_set = load_embeddings(args.enroll, format=args.format)
-    test_set = load_embeddings(args.test, format=args.format)
+    enroll_set = load_embeddings(args.enroll)
+    test_set = load_embeddings(args.test)
     trials = load_trials(args.trials)
     wanted = {t.enroll_speaker for t in trials}
     available = set(enroll_set.speakers())
@@ -127,7 +127,7 @@ def _cmd_eer(args) -> int:
 
 def _cmd_sweep(args) -> int:
     space = load_space(args.space)
-    embeddings = load_embeddings(args.embeddings, format=args.format)
+    embeddings = load_embeddings(args.embeddings)
     trials = load_trials(args.trials)
     sizes = _parse_k_range(args.k)
     result = run_sweep(
@@ -172,7 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit a variability space from embeddings")
     p.add_argument("--embeddings", required=True)
     p.add_argument("--out", required=True, help="output space file")
-    p.add_argument("--format", choices=["auto", "csv", "binary"], default="auto")
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("spectrum", help="emit the log-eigenvalue/delta CSV")
@@ -203,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--enroll", required=True, help="embeddings used for enrollment models")
     p.add_argument("--test", required=True, help="embeddings used for test sides")
     p.add_argument("--trials", required=True)
-    p.add_argument("--format", choices=["auto", "csv", "binary"], default="auto")
     p.set_defaults(func=_cmd_eer)
 
     p = sub.add_parser("sweep", help="EER vs removed-block size for one family")
@@ -225,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="build enrollment models from the unmodified embeddings",
     )
-    p.add_argument("--format", choices=["auto", "csv", "binary"], default="auto")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("synth", help="generate a synthetic speaker population")

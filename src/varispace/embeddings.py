@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, FormatError
+from .linalg import as_matrix
 
 EMBEDDINGS_MAGIC = b"EMB1"
 EMBEDDINGS_VERSION = 1
@@ -31,16 +32,9 @@ class EmbeddingSet:
     def __post_init__(self):
         utt_ids = tuple(self.utt_ids)
         spk_ids = tuple(self.spk_ids)
-        vectors = np.asarray(self.vectors, dtype=np.float64)
-        if vectors.ndim != 2:
-            raise DataError(f"vectors must be an (N, D) matrix, got shape {vectors.shape}")
-        n, d = vectors.shape
-        if n < 1 or d < 1:
-            raise DataError("embedding set must contain at least one record and one dimension")
-        if len(utt_ids) != n or len(spk_ids) != n:
+        vectors = as_matrix(self.vectors, "embedding vectors")
+        if len(utt_ids) != len(vectors) or len(spk_ids) != len(vectors):
             raise DataError("id lists and vector rows disagree in length")
-        if not np.all(np.isfinite(vectors)):
-            raise DataError("embedding set contains a non-finite value")
         row_of, speaker_rows = {}, {}
         for i, (utt, spk) in enumerate(zip(utt_ids, spk_ids)):
             if not utt:
@@ -61,21 +55,6 @@ class EmbeddingSet:
             speaker_rows[spk] = rows = np.array(rows)
             rows.setflags(write=False)
         object.__setattr__(self, "_speaker_rows", speaker_rows)
-
-    @classmethod
-    def from_records(cls, records) -> "EmbeddingSet":
-        """Build from an iterable of (utt_id, spk_id, vector) triples."""
-        utts, spks, rows = [], [], []
-        for utt, spk, vec in records:
-            utts.append(utt)
-            spks.append(spk)
-            rows.append(np.asarray(vec, dtype=np.float64))
-        if not rows:
-            raise DataError("embedding set must contain at least one record")
-        widths = {row.shape for row in rows}
-        if len(widths) > 1 or rows[0].ndim != 1:
-            raise DataError("all embedding vectors must be 1-D with a shared dimension")
-        return cls(tuple(utts), tuple(spks), np.array(rows))
 
     def __len__(self) -> int:
         return self.vectors.shape[0]
@@ -105,18 +84,17 @@ class EmbeddingSet:
     def utterances_of(self, spk_id: str) -> tuple[str, ...]:
         return tuple(self.utt_ids[i] for i in self.speaker_rows(spk_id))
 
-    def records(self):
-        for i, (utt, spk) in enumerate(zip(self.utt_ids, self.spk_ids)):
-            yield utt, spk, self.vectors[i]
-
 
 @contextmanager
 def open_text(source, newline=None):
     """Open a UTF-8 text file for reading. Bytes that are not UTF-8 raise
-    FormatError naming the file and the byte offset of the first bad one."""
+    FormatError naming the file and the byte offset of the first bad one;
+    so does a ``csv`` parse error (such as a field over its size limit)."""
     try:
         with open(source, "r", encoding="utf-8", newline=newline) as fh:
             yield fh
+    except csv.Error as exc:
+        raise FormatError(f"{source}: {exc}") from None
     except UnicodeDecodeError:
         # the reader decodes in chunks and reports offsets within one chunk;
         # decoding the whole file again gives the offset within the file
@@ -144,16 +122,12 @@ def detect_format(source) -> str:
     return "binary" if head == EMBEDDINGS_MAGIC else "csv"
 
 
-def load_embeddings(source, format: str = "auto") -> EmbeddingSet:
-    """Read an embedding set from ``source`` in the given format
-    ("csv", "binary", or "auto" to sniff the magic)."""
-    if format == "auto":
-        format = detect_format(source)
-    if format == "csv":
-        return _load_csv(source)
-    if format == "binary":
+def load_embeddings(source) -> EmbeddingSet:
+    """Read an embedding set from ``source``: binary if it starts with the
+    ``EMB1`` magic, CSV otherwise."""
+    if detect_format(source) == "binary":
         return _load_binary(source)
-    raise DataError(f"unknown embeddings format '{format}'")
+    return _load_csv(source)
 
 
 def save_embeddings(embeddings: EmbeddingSet, destination, format: str = "csv") -> None:
@@ -178,7 +152,7 @@ def _save_csv(embeddings: EmbeddingSet, destination) -> None:
     with open(destination, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["utt_id", "spk_id"] + [f"d{i}" for i in range(1, d + 1)])
-        for utt, spk, vec in embeddings.records():
+        for utt, spk, vec in zip(embeddings.utt_ids, embeddings.spk_ids, embeddings.vectors):
             id_writer.writerow((utt, spk))
             fh.write(line % (ids.getvalue()[:-2], *vec.tolist()))
             ids.seek(0)
@@ -221,7 +195,7 @@ def _save_binary(embeddings: EmbeddingSet, destination) -> None:
     d = embeddings.dim
     out = bytearray()
     out += struct.pack("<4sIIQ", EMBEDDINGS_MAGIC, EMBEDDINGS_VERSION, d, len(embeddings))
-    for utt, spk, vec in embeddings.records():
+    for utt, spk, vec in zip(embeddings.utt_ids, embeddings.spk_ids, embeddings.vectors):
         utt_b = _utf8(utt)
         spk_b = _utf8(spk)
         if len(utt_b) > 0xFFFF or len(spk_b) > 0xFFFF:
@@ -241,9 +215,8 @@ def _load_binary(source) -> EmbeddingSet:
     header_size = struct.calcsize("<4sIIQ")
     if len(blob) < header_size:
         raise FormatError(f"embeddings file truncated: {len(blob)} bytes")
-    magic, version, d, n = struct.unpack_from("<4sIIQ", blob, 0)
-    if magic != EMBEDDINGS_MAGIC:
-        raise FormatError(f"bad embeddings magic {magic!r}, expected {EMBEDDINGS_MAGIC!r}")
+    # load_embeddings only comes here when the file starts with the magic
+    _, version, d, n = struct.unpack_from("<4sIIQ", blob, 0)
     if version != EMBEDDINGS_VERSION:
         raise FormatError(f"unsupported embeddings file version {version}")
     if d < 1:

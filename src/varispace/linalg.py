@@ -29,7 +29,11 @@ def as_vector(values, name: str = "vector") -> np.ndarray:
 
 def as_matrix(values, name: str = "matrix") -> np.ndarray:
     """Coerce to a finite 2-D float64 array with rows, cols >= 1."""
-    arr = np.asarray(values, dtype=np.float64)
+    try:
+        arr = np.asarray(values, dtype=np.float64)
+    except ValueError as exc:
+        # ragged rows, or entries that are not numbers
+        raise DataError(f"{name} is not a numeric matrix: {exc}") from None
     if arr.ndim != 2:
         raise DataError(f"{name} must be two-dimensional, got shape {arr.shape}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -40,13 +44,8 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
 
 
 def covariance(vectors) -> np.ndarray:
-    """Unbiased sample covariance of a collection of equal-length vectors.
-
-    Parameters
-    ----------
-    vectors:
-        Sequence of N 1-D arrays of shared dimension D, or a single (N, D)
-        array whose rows are the observations. N >= 2 is required.
+    """Unbiased sample covariance of the rows of an (N, D) matrix (or of a
+    sequence of N equal-length rows). N >= 2 is required.
 
     Returns
     -------
@@ -58,21 +57,7 @@ def covariance(vectors) -> np.ndarray:
     NumericalError
         If the covariance of finite observations overflows float64.
     """
-    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-        data = as_matrix(vectors, "observations")
-    else:
-        rows = [as_vector(v, f"observation {i}") for i, v in enumerate(vectors)]
-        if len(rows) < 2:
-            raise DataError(
-                f"covariance requires at least 2 observations, got {len(rows)}"
-            )
-        dim = rows[0].size
-        for i, row in enumerate(rows):
-            if row.size != dim:
-                raise DataError(
-                    f"observation {i} has dimension {row.size}, expected {dim}"
-                )
-        data = np.array(rows, dtype=np.float64)
+    data = as_matrix(vectors, "observations")
     n = data.shape[0]
     if n < 2:
         raise DataError(f"covariance requires at least 2 observations, got {n}")

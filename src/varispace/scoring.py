@@ -339,15 +339,18 @@ def read_sweep_csv(source) -> SweepResult:
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != len(SWEEP_HEADER):
             raise FormatError(f"sweep CSV line {lineno}: expected {len(SWEEP_HEADER)} fields")
-        parsed.append(
-            SweepRow(
-                family=row[0],
-                start=int(row[1]),
-                size=int(row[2]),
-                direction=row[3],
-                eer_percent=float(row[4]),
-                n_target=int(row[5]),
-                n_nontarget=int(row[6]),
+        try:
+            parsed.append(
+                SweepRow(
+                    family=row[0],
+                    start=int(row[1]),
+                    size=int(row[2]),
+                    direction=row[3],
+                    eer_percent=float(row[4]),
+                    n_target=int(row[5]),
+                    n_nontarget=int(row[6]),
+                )
             )
-        )
+        except ValueError as exc:
+            raise FormatError(f"sweep CSV line {lineno}: {exc}") from None
     return SweepResult(rows=tuple(parsed))

@@ -51,8 +51,10 @@ class VariabilitySpace:
             raise DataError(
                 f"eigenvalues length {eigenvalues.size} inconsistent with dimension {d}"
             )
-        gram_err = float(np.max(np.abs(basis.T @ basis - np.eye(d))))
-        if gram_err > ORTHONORMALITY_TOL:
+        # a huge finite basis overflows the Gram matrix: inf or nan, rejected
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram_err = float(np.max(np.abs(basis.T @ basis - np.eye(d))))
+        if not gram_err <= ORTHONORMALITY_TOL:
             raise DataError(
                 f"basis columns are not orthonormal: max deviation {gram_err:.3e}"
             )
@@ -132,17 +134,12 @@ def fit(embeddings: EmbeddingSet) -> VariabilitySpace:
     return VariabilitySpace(mean=data.mean(axis=0), basis=basis, eigenvalues=lam)
 
 
-def project(space: VariabilitySpace, x, centered: bool = False) -> np.ndarray:
-    """Coefficients of ``x`` in the space's basis.
-
-    Applied to the raw embedding by default; ``centered=True`` subtracts the
-    training mean first (ablation mode).
-    """
+def project(space: VariabilitySpace, x) -> np.ndarray:
+    """Coefficients of the raw embedding ``x`` (no mean subtraction) in the
+    space's basis."""
     vec = as_vector(x, "embedding")
     if vec.size != space.dim:
         raise DataError(f"embedding dimension {vec.size} != space dimension {space.dim}")
-    if centered:
-        vec = vec - space.mean
     return space.basis.T @ vec
 
 
@@ -187,13 +184,11 @@ def detect_turning(
     deltas: DeltaSpectrum,
     window: int = 10,
     oscillation_tol: float = 0.05,
-    mode: str = "magnitude",
 ) -> TurningPoint:
     """Locate the candidate turning dimension in a delta spectrum.
 
-    An index t qualifies when (a) the delta tail from t on is monotone
-    (non-decreasing in magnitude by default; ``mode="signed"`` tests the
-    signed values instead), (b) the up-to-``window`` preceding values stay
+    An index t qualifies when (a) the delta tail from t on is non-decreasing
+    in magnitude, (b) the up-to-``window`` preceding values stay
     within ``oscillation_tol`` of their local mean, and (c) the value at t
     breaks out of that oscillation corridor. t=1 qualifies whenever the whole
     sequence is monotone. The smallest qualifying index is returned; if none
@@ -201,8 +196,6 @@ def detect_turning(
     ``weak`` flag set. The result is a candidate only and callers must allow
     a manual override.
     """
-    if mode not in ("magnitude", "signed"):
-        raise DataError(f"unknown turning-point mode '{mode}'")
     if window < 1:
         raise DataError("window must be >= 1")
     if not oscillation_tol > 0.0:
@@ -214,7 +207,7 @@ def detect_turning(
             f"spectrum too short for turning-point detection: {m} deltas, "
             f"need at least window + 2 = {window + 2}"
         )
-    profile = np.abs(values) if mode == "magnitude" else values
+    profile = np.abs(values)
 
     tail_ok = np.empty(m, dtype=bool)
     tail_ok[m - 1] = True
@@ -319,15 +312,19 @@ def read_spectrum_csv(source) -> tuple[np.ndarray, np.ndarray]:
     for lineno, row in enumerate(body, start=2):
         if len(row) != 3:
             raise FormatError(f"spectrum CSV line {lineno}: expected 3 fields")
-        index, log_value, delta = row
-        if int(index) != lineno - 1:
+        try:
+            index, log_value = int(row[0]), float(row[1])
+            delta = float(row[2]) if row[2] != "" else None
+        except ValueError as exc:
+            raise FormatError(f"spectrum CSV line {lineno}: {exc}") from None
+        if index != lineno - 1:
             raise FormatError(f"spectrum CSV line {lineno}: index out of order")
-        logs.append(float(log_value))
+        logs.append(log_value)
         last = lineno - 1 == len(body)
-        if last != (delta == ""):
+        if last != (delta is None):
             raise FormatError(
                 f"spectrum CSV line {lineno}: delta must be empty on the last row only"
             )
         if not last:
-            deltas.append(float(delta))
+            deltas.append(delta)
     return np.array(logs), np.array(deltas)

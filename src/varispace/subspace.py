@@ -116,7 +116,7 @@ class ModificationReport:
 
 
 def _remove_block(
-    space: VariabilitySpace, rows: np.ndarray, indices: tuple[int, ...], renormalize: bool
+    space: VariabilitySpace, rows: np.ndarray, indices: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
     """The one modification kernel: ``rows - (rows B_S) B_S^T`` for an (N, D)
     matrix, where ``B_S`` holds the basis columns at ``indices``. Returns the
@@ -130,31 +130,23 @@ def _remove_block(
     coeff = np.einsum("nd,dk->nk", rows, block)
     modified = coeff @ block.T
     np.subtract(rows, modified, out=modified)
-    if renormalize:
-        norm = np.linalg.norm(modified, axis=1, keepdims=True)
-        np.divide(modified, norm, out=modified, where=norm > 1e-30)
     return modified, np.einsum("nk,nk->n", coeff, coeff)
 
 
 def modify(
-    space: VariabilitySpace,
-    x,
-    spec: SubspaceSpec,
-    renormalize: bool = False,
+    space: VariabilitySpace, x, spec: SubspaceSpec
 ) -> tuple[np.ndarray, ModificationReport]:
     """Zero the spec's coefficients of ``x`` in the variability basis: a
     one-row call of the batch kernel behind :func:`modify_batch`.
 
-    Returns the modified embedding and a report. A size-0 spec returns an
-    exact copy of the input (no projection round-trip). ``renormalize`` is
-    an ablation flag, off by default: it rescales the result to unit length,
-    leaving an all-zero result as is.
+    Returns the modified embedding, not re-normalized, and a report. A
+    size-0 spec returns an exact copy of the input (no projection round-trip).
     """
     indices = resolve_indices(spec, space.dim)
     vec = as_vector(x, "embedding")
     if vec.size != space.dim:
         raise DataError(f"embedding dimension {vec.size} != space dimension {space.dim}")
-    rows, removed = _remove_block(space, vec[np.newaxis], indices, renormalize)
+    rows, removed = _remove_block(space, vec[np.newaxis], indices)
     return rows[0], ModificationReport(
         zeroed_indices=indices,
         removed_energy=float(removed[0]),
@@ -164,25 +156,19 @@ def modify(
 
 
 def modify_batch(
-    space: VariabilitySpace,
-    embeddings: EmbeddingSet,
-    spec: SubspaceSpec,
-    renormalize: bool = False,
+    space: VariabilitySpace, embeddings: EmbeddingSet, spec: SubspaceSpec
 ) -> EmbeddingSet:
     """:func:`modify` applied to every row of a set at once; ids and order
     are preserved."""
-    return _modify_set(space, embeddings, spec, renormalize)[0]
+    return _modify_set(space, embeddings, spec)[0]
 
 
 def modify_batch_with_reports(
-    space: VariabilitySpace,
-    embeddings: EmbeddingSet,
-    spec: SubspaceSpec,
-    renormalize: bool = False,
+    space: VariabilitySpace, embeddings: EmbeddingSet, spec: SubspaceSpec
 ) -> tuple[EmbeddingSet, ModificationReport]:
     """:func:`modify_batch` plus one report whose energy and norm fields are
     per-row vectors."""
-    modified, removed = _modify_set(space, embeddings, spec, renormalize)
+    modified, removed = _modify_set(space, embeddings, spec)
     return modified, ModificationReport(
         zeroed_indices=resolve_indices(spec, space.dim),
         removed_energy=removed,
@@ -191,7 +177,7 @@ def modify_batch_with_reports(
     )
 
 
-def _modify_set(space, embeddings, spec, renormalize) -> tuple[EmbeddingSet, np.ndarray]:
+def _modify_set(space, embeddings, spec) -> tuple[EmbeddingSet, np.ndarray]:
     indices = resolve_indices(spec, space.dim)
     if embeddings.dim != space.dim:
         # every row shares the dimension, so the first one is where it fails
@@ -199,5 +185,5 @@ def _modify_set(space, embeddings, spec, renormalize) -> tuple[EmbeddingSet, np.
             f"utterance '{embeddings.utt_ids[0]}': embedding dimension "
             f"{embeddings.dim} != space dimension {space.dim}"
         )
-    rows, removed = _remove_block(space, embeddings.vectors, indices, renormalize)
+    rows, removed = _remove_block(space, embeddings.vectors, indices)
     return EmbeddingSet(embeddings.utt_ids, embeddings.spk_ids, rows), removed

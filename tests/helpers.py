@@ -13,6 +13,7 @@ import numpy as np
 from varispace import (
     DataError,
     NumericalError,
+    ScoredTrials,
     SubspaceSpec,
     SweepRow,
     build_enrollment,
@@ -158,6 +159,133 @@ def jacobi_eig_oracle(
     v = np.ascontiguousarray(v[:, order])
     fix_eigvec_signs(v)
     return v, lam
+
+
+def _gershgorin_floor(s: np.ndarray) -> float:
+    radii = np.sum(np.abs(s), axis=1) - np.abs(np.diag(s))
+    return float(np.min(np.diag(s) - radii))
+
+
+def _orthogonalize(vec: np.ndarray, against: list[np.ndarray]) -> np.ndarray:
+    out = vec.copy()
+    for basis_vec in against:
+        out -= (out @ basis_vec) * basis_vec
+    return out
+
+
+def brute_eig(
+    matrix,
+    residual_tol: float = 1e-12,
+    max_iter: int = 500_000,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle eigendecomposition for small symmetric matrices (dimension up
+    to 8): shifted power iteration with deflation.
+
+    The matrix is shifted by the Gershgorin lower bound so the most negative
+    eigenvalue maps to zero or above, making plain power iteration converge
+    to the extremes in order. Sort and sign conventions match the production
+    solver: descending eigenvalues, largest-magnitude entry positive.
+    """
+    s = np.array(matrix, dtype=np.float64)
+    if s.ndim != 2 or s.shape[0] != s.shape[1]:
+        raise DataError(f"oracle needs a square matrix, got shape {s.shape}")
+    d = s.shape[0]
+    if d > 8:
+        raise DataError(f"oracle is limited to dimension <= 8, got {d}")
+    if float(np.max(np.abs(s - s.T))) > 1e-9 * max(1.0, float(np.max(np.abs(s)))):
+        raise DataError("oracle needs a symmetric matrix")
+    s = 0.5 * (s + s.T)
+    shift = max(0.0, -_gershgorin_floor(s))
+    a = s + shift * np.eye(d)
+    scale = max(1.0, float(np.sqrt(np.sum(a * a))))
+
+    starts = [np.ones(d) / np.sqrt(d)] + [np.eye(d)[i] for i in range(d)]
+    vecs: list[np.ndarray] = []
+    vals: list[float] = []
+    for _ in range(d):
+        v = None
+        for candidate in starts:
+            attempt = _orthogonalize(candidate, vecs)
+            norm = float(np.linalg.norm(attempt))
+            if norm > 1e-3:
+                v = attempt / norm
+                break
+        if v is None:
+            raise NumericalError("oracle could not find an independent start vector")
+        # iterate well past the target (until stalled at the numerical floor):
+        # each stage's residual leaks into later stages through deflation, so
+        # stopping exactly at the target would starve them of headroom
+        best_v, best_rho, best_r = v, float(v @ (a @ v)), np.inf
+        since_best = 0
+        for _ in range(max_iter):
+            w = a @ v
+            rho = float(v @ w)
+            r = float(np.linalg.norm(w - rho * v))
+            if r < 0.995 * best_r:
+                best_v, best_rho, best_r = v, rho, r
+                since_best = 0
+            else:
+                since_best += 1
+            if best_r <= 0.01 * residual_tol * scale or since_best > 500:
+                break
+            w = _orthogonalize(w, vecs)
+            norm = float(np.linalg.norm(w))
+            if norm <= 1e-300:
+                # annihilated: v already sits in an eigenspace of eigenvalue ~0
+                break
+            v = w / norm
+        if best_r > residual_tol * scale:
+            raise NumericalError(
+                f"oracle power iteration stalled at residual {best_r:.3e}, "
+                f"target {residual_tol * scale:.3e}"
+            )
+        vecs.append(best_v)
+        vals.append(best_rho)
+        a = a - best_rho * np.outer(best_v, best_v)
+
+    lam = np.array(vals) - shift
+    order = sorted(range(d), key=lambda j: -lam[j])
+    lam = np.array([lam[j] for j in order])
+    basis = np.column_stack([vecs[j] for j in order])
+    for j in range(d):
+        col = basis[:, j]
+        k = max(range(d), key=lambda i: (abs(col[i]), -i))
+        if col[k] < 0.0:
+            basis[:, j] = -col
+    return basis, lam
+
+
+def brute_eer(scored: ScoredTrials) -> float:
+    """Oracle EER in percent: evaluate the miss/false-alarm rates at every
+    midpoint between consecutive distinct scores plus sentinels below and
+    above all scores, then interpolate the crossing linearly."""
+    target = [float(s) for s, t in zip(scored.scores, scored.labels) if t]
+    nontarget = [float(s) for s, t in zip(scored.scores, scored.labels) if not t]
+    if not target or not nontarget:
+        raise DataError("EER needs at least one target and one nontarget trial")
+    distinct = sorted(set(target) | set(nontarget))
+    thresholds = [distinct[0] - 1.0]
+    for lo, hi in zip(distinct, distinct[1:]):
+        thresholds.append(0.5 * (lo + hi))
+    thresholds.append(distinct[-1] + 1.0)
+
+    points = []
+    for theta in thresholds:
+        far = sum(1 for s in nontarget if s >= theta) / len(nontarget)
+        frr = sum(1 for s in target if s < theta) / len(target)
+        points.append((far, frr))
+
+    previous = points[0]
+    for current in points[1:]:
+        d0 = previous[0] - previous[1]
+        d1 = current[0] - current[1]
+        if d0 == 0.0:
+            return 100.0 * previous[0]
+        if d0 > 0.0 and d1 < 0.0:
+            frac = d0 / (d0 - d1)
+            return 100.0 * (previous[0] + frac * (current[0] - previous[0]))
+        previous = current
+    raise NumericalError("oracle found no miss/false-alarm crossing")
 
 
 def cofactor_det(m: np.ndarray) -> float:

@@ -3,8 +3,8 @@ one PASS/FAIL line. Run with ``pytest tests/test_acceptance.py -v -s``.
 
 Oracles are independent re-derivations (power iteration with deflation,
 exhaustive threshold sweeps, exhaustive candidate scans) living in
-``varispace.synth`` and ``tests/helpers.py``; none of them share code with
-the implementations they check.
+``tests/helpers.py``; none of them share code with the implementations they
+check.
 """
 
 import contextlib
@@ -13,15 +13,13 @@ import time
 import numpy as np
 import pytest
 
-from helpers import plant_deltas, scan_turning
+from helpers import brute_eer, brute_eig, plant_deltas, scan_turning
 from varispace import (
     DeltaSpectrum,
     EmbeddingSet,
     PopulationConfig,
     ScoredTrials,
     SubspaceSpec,
-    brute_eer,
-    brute_eig,
     compute_eer,
     covariance,
     delta_spectrum,

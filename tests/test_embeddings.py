@@ -47,6 +47,10 @@ class TestEmbeddingSet:
         with pytest.raises(DataError):
             EmbeddingSet(("a", "b"), ("s", "s"), np.array([[1.0, np.inf], [0.0, 1.0]]))
 
+    def test_ragged_rows_rejected(self):
+        with pytest.raises(DataError, match="not a numeric matrix"):
+            EmbeddingSet(("a", "b"), ("s", "s"), [[1.0, 2.0], [3.0]])
+
     def test_vectors_read_only(self):
         emb = _sample_set(np.random.default_rng(1))
         with pytest.raises(ValueError):
@@ -57,20 +61,13 @@ class TestEmbeddingSet:
         with pytest.raises(DataError):
             emb.vector("nope")
 
-    def test_from_records(self):
-        emb = EmbeddingSet.from_records(
-            [("a", "s1", [1.0, 2.0]), ("b", "s2", [3.0, 4.0])]
-        )
-        assert emb.utt_ids == ("a", "b")
-        assert np.array_equal(emb.vectors, [[1.0, 2.0], [3.0, 4.0]])
-
 
 class TestCsvFormat:
     def test_round_trip_exact(self, tmp_path):
         emb = _sample_set(np.random.default_rng(3))
         path = tmp_path / "emb.csv"
         save_embeddings(emb, path, format="csv")
-        loaded = load_embeddings(path, format="csv")
+        loaded = load_embeddings(path)
         assert loaded.utt_ids == emb.utt_ids
         assert loaded.spk_ids == emb.spk_ids
         assert np.array_equal(loaded.vectors, emb.vectors)
@@ -148,7 +145,7 @@ class TestBinaryFormat:
         emb = _sample_set(np.random.default_rng(4), n=9, d=5)
         first = tmp_path / "a.emb"
         save_embeddings(emb, first, format="binary")
-        loaded = load_embeddings(first, format="binary")
+        loaded = load_embeddings(first)
         second = tmp_path / "b.emb"
         save_embeddings(loaded, second, format="binary")
         assert first.read_bytes() == second.read_bytes()
@@ -177,7 +174,7 @@ class TestBinaryFormat:
         assert detect_format(binary) == "binary"
         assert detect_format(csv_path) == "csv"
         assert np.array_equal(
-            load_embeddings(binary, format="auto").vectors.astype(np.float32),
+            load_embeddings(binary).vectors.astype(np.float32),
             emb.vectors.astype(np.float32),
         )
 
@@ -188,21 +185,21 @@ class TestBinaryFormat:
         blob[0] = 0x58
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError):
-            load_embeddings(path, format="binary")
+            load_embeddings(path)
 
     def test_truncation(self, tmp_path):
         path = tmp_path / "a.emb"
         save_embeddings(_sample_set(np.random.default_rng(7)), path, format="binary")
         path.write_bytes(path.read_bytes()[:-3])
         with pytest.raises(FormatError):
-            load_embeddings(path, format="binary")
+            load_embeddings(path)
 
     def test_trailing_garbage(self, tmp_path):
         path = tmp_path / "a.emb"
         save_embeddings(_sample_set(np.random.default_rng(8)), path, format="binary")
         path.write_bytes(path.read_bytes() + b"xx")
         with pytest.raises(FormatError):
-            load_embeddings(path, format="binary")
+            load_embeddings(path)
 
 
 class TestTrials:
@@ -298,3 +295,12 @@ def test_non_utf8_names_file_and_byte_offset(tmp_path, name):
         loader(path)
     assert str(path) in str(err.value)
     assert f"byte offset {len(prefix)} " in str(err.value)
+
+
+@pytest.mark.parametrize("name", ["embeddings-csv", "spectrum-csv", "sweep-csv"])
+def test_oversized_csv_field_is_format_error(tmp_path, name):
+    loader, prefix = TEXT_LOADERS[name]
+    path = tmp_path / "input.csv"
+    path.write_bytes(prefix + b"x" * 200_000 + b",1\n")
+    with pytest.raises(FormatError, match="field larger than field limit"):
+        loader(path)

@@ -41,6 +41,10 @@ class TestCovariance:
         with pytest.raises(DataError):
             covariance([np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0])])
 
+    def test_ragged_rows(self):
+        with pytest.raises(DataError, match="not a numeric matrix"):
+            covariance([[1.0, 2.0], [3.0], [4.0, 5.0]])
+
     def test_non_finite(self):
         with pytest.raises(DataError):
             covariance([np.array([1.0, np.nan]), np.array([0.0, 1.0])])

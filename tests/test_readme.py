@@ -1,4 +1,5 @@
-"""The README's CLI walkthrough (steps 1-5) runs as written."""
+"""The README's CLI walkthrough (steps 1-5) and its Python API snippet run as
+written."""
 
 import shlex
 from pathlib import Path
@@ -51,3 +52,13 @@ def test_walkthrough_runs_as_written(tmp_path, monkeypatch, capsys):
     for name in ("emb.csv", "space.vsp", "spectrum.csv", "anon.csv", "trials.txt",
                  "primary_sweep.csv", "secondary_sweep.csv"):
         assert (tmp_path / name).stat().st_size > 0, name
+
+
+def test_python_api_snippet_runs(tmp_path, monkeypatch):
+    text = README.read_text(encoding="utf-8")
+    source = text.split("## Python API", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    names = {}
+    exec(compile(source, "README Python API", "exec"), names)
+    assert len(names["anon"]) == len(names["emb"]) == 800
+    assert [row.size for row in names["sweep"].rows] == list(range(0, names["knee"].index + 1, 5))

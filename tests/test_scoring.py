@@ -5,6 +5,7 @@ from helpers import exhaustive_eer_percent
 from varispace import (
     DataError,
     EmbeddingSet,
+    FormatError,
     ScoredTrials,
     SubspaceSpec,
     Trial,
@@ -214,7 +215,7 @@ def _population(rng, n_speakers=6, utts=5, d=8):
 
 
 def _all_trials(emb, rng, n_nontarget=60):
-    entries = [Trial(spk, utt, True) for utt, spk, _ in emb.records()]
+    entries = [Trial(spk, utt, True) for utt, spk in zip(emb.utt_ids, emb.spk_ids)]
     speakers = emb.speakers()
     while sum(1 for e in entries if not e.target) < n_nontarget:
         spk = speakers[int(rng.integers(len(speakers)))]
@@ -318,3 +319,13 @@ class TestSweepCsv:
         header = path.read_text().splitlines()[0]
         assert header == "family,start,size,direction,eer_percent,n_target,n_nontarget"
         assert read_sweep_csv(path) == sweep
+
+    def test_non_numeric_field_names_line(self, tmp_path):
+        path = tmp_path / "sweep.csv"
+        path.write_text(
+            "family,start,size,direction,eer_percent,n_target,n_nontarget\n"
+            "primary,1,0,+,12.5,10,20\n"
+            "primary,a,2,+,15.0,10,20\n"
+        )
+        with pytest.raises(FormatError, match="sweep CSV line 3: .*'a'"):
+            read_sweep_csv(path)

@@ -107,14 +107,6 @@ class TestProjectReconstruct:
                 assert np.max(np.abs(reconstruct(space, coeff) - x)) <= 1e-9
                 assert abs(np.linalg.norm(coeff) - np.linalg.norm(x)) <= 1e-9 * np.linalg.norm(x)
 
-    def test_centered_mode(self):
-        rng = np.random.default_rng(43)
-        space = _random_space(rng, 4)
-        x = rng.standard_normal(4)
-        centered = project(space, x, centered=True)
-        raw = project(space, x)
-        assert centered == pytest.approx(raw - space.basis.T @ space.mean, abs=1e-12)
-
     def test_dimension_mismatch(self):
         space = _space_with_eigenvalues([1.0, 1.0])
         with pytest.raises(DataError):
@@ -227,16 +219,6 @@ class TestDetectTurning:
             assert first.weak == second.weak
             assert 1 <= first.index <= len(values)
 
-    def test_signed_mode(self):
-        # signed deltas increase toward zero: a monotone signed tail that is
-        # not monotone in magnitude
-        values = np.array([-0.5, -0.52, -0.48, -0.5, -0.3, -0.2, -0.1])
-        deltas = DeltaSpectrum(values=values, floor_epsilon=1e-12)
-        signed = detect_turning(deltas, window=3, oscillation_tol=0.05, mode="signed")
-        assert signed.index == 5
-        magnitude = detect_turning(deltas, window=3, oscillation_tol=0.05)
-        assert magnitude.weak
-
     def test_too_short(self):
         deltas = DeltaSpectrum(values=np.array([-0.1]), floor_epsilon=1e-12)
         with pytest.raises(DataError):
@@ -329,6 +311,13 @@ class TestSpectrumCsv:
         logs, deltas = read_spectrum_csv(path)
         assert deltas == pytest.approx(np.diff(logs), abs=1e-12)
 
+    @pytest.mark.parametrize("row", ["x,0.5,-0.1", "1,0.5,y"])
+    def test_non_numeric_field_names_line(self, tmp_path, row):
+        path = tmp_path / "spectrum.csv"
+        path.write_text(f"index,log_eigenvalue,delta\n{row}\n2,0.4,\n")
+        with pytest.raises(FormatError, match="spectrum CSV line 2: .*'[xy]'"):
+            read_spectrum_csv(path)
+
 
 class TestVariabilitySpaceValidation:
     def test_rejects_non_orthonormal_basis(self):
@@ -338,6 +327,17 @@ class TestVariabilitySpaceValidation:
                 basis=np.array([[1.0, 0.5], [0.0, 1.0]]),
                 eigenvalues=np.array([2.0, 1.0]),
             )
+
+    @pytest.mark.parametrize(
+        "basis",
+        [[[1e300]], [[1e300, 1e300], [-1e300, 1e300]]],
+        ids=["gram-overflows", "gram-is-nan"],
+    )
+    def test_rejects_huge_basis_without_warning(self, basis):
+        basis = np.array(basis)
+        with pytest.raises(DataError, match="not orthonormal"):
+            VariabilitySpace(mean=np.zeros(len(basis)), basis=basis,
+                             eigenvalues=np.arange(len(basis), 0.0, -1.0))
 
     def test_rejects_unsorted_eigenvalues(self):
         with pytest.raises(DataError):

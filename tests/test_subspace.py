@@ -173,13 +173,6 @@ class TestModify:
             out, _ = modify(space, x, spec)
             assert np.linalg.norm(out) <= np.linalg.norm(x) + 1e-12
 
-    def test_renormalize_flag(self):
-        rng = np.random.default_rng(67)
-        space = _fitted_space(rng, 5)
-        x = rng.standard_normal(5) * 4
-        out, _ = modify(space, x, SubspaceSpec(1, 2, "+"), renormalize=True)
-        assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
-
     def test_out_of_range_spec_propagates(self):
         space = _identity_space(4)
         with pytest.raises(DataError):

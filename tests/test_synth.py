@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
 
-from helpers import eig2x2_charpoly
+from helpers import brute_eer, brute_eig, eig2x2_charpoly
 from varispace import (
     CounterRng,
     DataError,
     PopulationConfig,
     ScoredTrials,
-    brute_eer,
-    brute_eig,
     eig_sym,
     fit,
     generate,
@@ -139,6 +137,17 @@ seed=515
                 "n_speakers=2\nutts_per_speaker=2\ndim=4\nbetween=1.0x3\nwithin=0.1x4\nseed=1\n"
             )
         assert "between" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "dim, message",
+        [(4, "expands to 1000000000000000000 values"), (0, "expected dim=0")],
+    )
+    def test_huge_repeat_count_rejected_before_expansion(self, dim, message):
+        with pytest.raises(DataError, match=message):
+            parse_population_config(
+                f"n_speakers=2\nutts_per_speaker=2\ndim={dim}\n"
+                "between=0.5x1000000000000000000\nwithin=0.1x4\nseed=1\n"
+            )
 
     def test_missing_key(self):
         with pytest.raises(DataError) as err:
