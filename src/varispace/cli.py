@@ -46,7 +46,7 @@ def _fmt(value: float) -> str:
     return format(value, ".17g")
 
 
-def _parse_k_range(text: str) -> list[int]:
+def _parse_k_range(text: str) -> range:
     parts = text.split(":")
     if len(parts) != 3:
         raise DataError(f"bad size range '{text}': expected <first>:<last>:<step>")
@@ -58,7 +58,7 @@ def _parse_k_range(text: str) -> list[int]:
         raise DataError(
             f"bad size range '{text}': need 0 <= first <= last and step >= 1"
         )
-    return list(range(first, last + 1, step))
+    return range(first, last + 1, step)
 
 
 def _cmd_fit(args) -> int:
@@ -111,11 +111,8 @@ def _cmd_eer(args) -> int:
     enroll_set = load_embeddings(args.enroll)
     test_set = load_embeddings(args.test)
     trials = load_trials(args.trials)
-    wanted = {t.enroll_speaker for t in trials}
-    available = set(enroll_set.speakers())
-    enrollments = {
-        s: build_enrollment(enroll_set, s) for s in sorted(wanted & available)
-    }
+    wanted = {t.enroll_speaker for t in trials} & set(enroll_set.speakers())
+    enrollments = {s: build_enrollment(enroll_set, s) for s in sorted(wanted)}
     result = compute_eer(score_trials(enrollments, test_set, trials))
     print(
         f"eer_percent={_fmt(result.eer_percent)} "
@@ -130,6 +127,9 @@ def _cmd_sweep(args) -> int:
     embeddings = load_embeddings(args.embeddings)
     trials = load_trials(args.trials)
     sizes = _parse_k_range(args.k)
+    # before run_sweep expands the range: its bounds can be any integer
+    if sizes[-1] > space.dim:
+        raise DataError(f"sweep size {sizes[-1]} exceeds the space dimension {space.dim}")
     result = run_sweep(
         space,
         embeddings,

@@ -17,6 +17,8 @@ from .linalg import as_matrix
 
 EMBEDDINGS_MAGIC = b"EMB1"
 EMBEDDINGS_VERSION = 1
+# csv's default field size limit in characters, which the CSV reader keeps
+_CSV_LIMIT = 131072
 
 
 @dataclass(frozen=True)
@@ -70,9 +72,6 @@ class EmbeddingSet:
             raise DataError(f"unknown utterance id '{utt_id}'")
         return row
 
-    def vector(self, utt_id: str) -> np.ndarray:
-        return self.vectors[self.row(utt_id)]
-
     def speakers(self) -> tuple[str, ...]:
         """Distinct speaker ids in first-appearance order."""
         return tuple(self._speaker_rows)
@@ -80,9 +79,6 @@ class EmbeddingSet:
     def speaker_rows(self, spk_id: str) -> np.ndarray:
         """Row indices of a speaker's records, ascending; empty if unknown."""
         return self._speaker_rows.get(spk_id, np.array([], dtype=np.intp))
-
-    def utterances_of(self, spk_id: str) -> tuple[str, ...]:
-        return tuple(self.utt_ids[i] for i in self.speaker_rows(spk_id))
 
 
 @contextmanager
@@ -143,6 +139,8 @@ def _save_csv(embeddings: EmbeddingSet, destination) -> None:
     d = embeddings.dim
     for value in embeddings.utt_ids + embeddings.spk_ids:
         _utf8(value)
+        if len(value) > _CSV_LIMIT:
+            raise DataError(f"id of {len(value)} characters exceeds the CSV limit of {_CSV_LIMIT}")
     # ids go through the csv module for its quoting; the values, which never
     # need quoting, through one %-template per row. The "\r\n" terminator
     # makes the writer quote ids holding a lone "\r" as well as "\n".
@@ -256,7 +254,7 @@ def _load_binary(source) -> EmbeddingSet:
     return EmbeddingSet(tuple(utts), tuple(spks), np.array(rows, dtype=np.float64))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Trial:
     """One verification trial: does ``test_utterance`` belong to
     ``enroll_speaker``? ``line`` keeps the source line for error reports."""
@@ -270,6 +268,7 @@ class Trial:
 @dataclass(frozen=True)
 class TrialList:
     entries: tuple[Trial, ...]
+    labels: np.ndarray = field(init=False, compare=False, repr=False)
     n_target: int = field(init=False)
     n_nontarget: int = field(init=False)
 
@@ -277,8 +276,11 @@ class TrialList:
         entries = tuple(self.entries)
         if not entries:
             raise DataError("trial list is empty")
-        n_target = sum(1 for t in entries if t.target)
+        labels = np.fromiter((t.target for t in entries), dtype=bool, count=len(entries))
+        labels.setflags(write=False)
+        n_target = int(labels.sum())
         object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "n_target", n_target)
         object.__setattr__(self, "n_nontarget", len(entries) - n_target)
 

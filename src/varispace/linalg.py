@@ -17,7 +17,11 @@ SYMMETRY_RTOL = 1e-9
 
 def as_vector(values, name: str = "vector") -> np.ndarray:
     """Coerce to a finite 1-D float64 array of length >= 1."""
-    arr = np.asarray(values, dtype=np.float64)
+    try:
+        arr = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        # ragged rows, or entries that are not real numbers
+        raise DataError(f"{name} is not a numeric vector: {exc}") from None
     if arr.ndim != 1:
         raise DataError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if arr.size < 1:
@@ -31,8 +35,8 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
     """Coerce to a finite 2-D float64 array with rows, cols >= 1."""
     try:
         arr = np.asarray(values, dtype=np.float64)
-    except ValueError as exc:
-        # ragged rows, or entries that are not numbers
+    except (TypeError, ValueError) as exc:
+        # ragged rows, or entries that are not real numbers
         raise DataError(f"{name} is not a numeric matrix: {exc}") from None
     if arr.ndim != 2:
         raise DataError(f"{name} must be two-dimensional, got shape {arr.shape}")

@@ -12,6 +12,7 @@ import numpy as np
 
 from .embeddings import EmbeddingSet, TrialList, open_text
 from .errors import DataError, FormatError
+from .linalg import as_vector
 from .space import VariabilitySpace
 from .subspace import BACKWARD, FORWARD, SubspaceSpec, resolve_indices
 
@@ -50,8 +51,8 @@ def _cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def cosine(a, b) -> float:
     """Cosine similarity, clamped to [-1, 1]. Both vectors must be nonzero.
     A one-row call of the kernel that :func:`score_trials` uses."""
-    va = np.asarray(a, dtype=np.float64)
-    vb = np.asarray(b, dtype=np.float64)
+    va = as_vector(a, "cosine operand")
+    vb = as_vector(b, "cosine operand")
     if va.shape != vb.shape:
         raise DataError(f"cosine dimension mismatch: {va.shape} vs {vb.shape}")
     return float(_cosine_rows(va.reshape(1, -1), vb.reshape(1, -1))[0])
@@ -97,28 +98,22 @@ def _chunks(n: int):
 
 def _resolve_trials(
     trials: TrialList, model_index: Mapping[str, int], test_set: EmbeddingSet
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each trial's model index, test row and label. Unresolvable ids abort,
-    naming the trial's source line."""
-    models = np.empty(len(trials), dtype=np.intp)
-    rows = np.empty(len(trials), dtype=np.intp)
-    labels = np.empty(len(trials), dtype=bool)
-    for i, trial in enumerate(trials):
-        where = trial.line if trial.line is not None else i + 1
-        model = model_index.get(trial.enroll_speaker)
-        if model is None:
-            raise DataError(
-                f"trial {where}: no enrollment for speaker '{trial.enroll_speaker}'"
-            )
-        try:
-            rows[i] = test_set.row(trial.test_utterance)
-        except DataError:
-            raise DataError(
-                f"trial {where}: unknown test utterance '{trial.test_utterance}'"
-            ) from None
-        models[i] = model
-        labels[i] = trial.target
-    return models, rows, labels
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each trial's model index and test row. Unresolvable ids abort, naming
+    the earliest such trial's source line (its speaker before its utterance)."""
+    row_of = dict(zip(test_set.utt_ids, range(len(test_set))))
+    n = len(trials)
+    models = np.fromiter((model_index.get(t.enroll_speaker, -1) for t in trials), np.intp, n)
+    rows = np.fromiter((row_of.get(t.test_utterance, -1) for t in trials), np.intp, n)
+    bad = (models < 0) | (rows < 0)
+    if bad.any():
+        i = int(bad.argmax())
+        t = trials.entries[i]
+        where = t.line if t.line is not None else i + 1
+        if models[i] < 0:
+            raise DataError(f"trial {where}: no enrollment for speaker '{t.enroll_speaker}'")
+        raise DataError(f"trial {where}: unknown test utterance '{t.test_utterance}'")
+    return models, rows
 
 
 def score_trials(
@@ -129,9 +124,7 @@ def score_trials(
     """Cosine score every trial against its enrollment model, order
     preserved. Unresolvable ids abort, naming the trial's source line."""
     speakers = list(enrollments)
-    which, rows, labels = _resolve_trials(
-        trials, {s: i for i, s in enumerate(speakers)}, test_set
-    )
+    which, rows = _resolve_trials(trials, {s: i for i, s in enumerate(speakers)}, test_set)
     models = np.array([enrollments[s] for s in speakers], dtype=np.float64)
     if models.shape != (len(speakers), test_set.dim):
         raise DataError(
@@ -140,7 +133,7 @@ def score_trials(
     scores = np.concatenate(
         [_cosine_rows(models[which[c]], test_set.vectors[rows[c]]) for c in _chunks(len(trials))]
     )
-    return ScoredTrials(scores=scores, labels=labels)
+    return ScoredTrials(scores=scores, labels=trials.labels)
 
 
 @dataclass(frozen=True)
@@ -265,9 +258,7 @@ def run_sweep(
         blocks.append((indices[0] - 1, indices[-1]) if indices else (0, 0))
 
     speakers = sorted({t.enroll_speaker for t in trials} & set(embeddings.speakers()))
-    which, rows, labels = _resolve_trials(
-        trials, {s: i for i, s in enumerate(speakers)}, embeddings
-    )
+    which, rows = _resolve_trials(trials, {s: i for i, s in enumerate(speakers)}, embeddings)
     coeff = embeddings.vectors @ space.basis
     means = np.array([coeff[embeddings.speaker_rows(s)].mean(axis=0) for s in speakers])
     starts = np.unique([0, *(edge for block in blocks for edge in block)])
@@ -286,15 +277,16 @@ def run_sweep(
     for k, spec, (lo, hi) in zip(sizes, specs, blocks):
         kept = (starts < lo) | (starts >= hi)
         model_norm = np.sqrt((model_sq if clean_enrollment else model_sq[:, kept]).sum(axis=1))
-        for speaker, norm in zip(speakers, model_norm):
-            if norm <= _ZERO_NORM:
-                raise DataError(f"speaker '{speaker}' has a zero-mean enrollment model")
+        zero = model_norm <= _ZERO_NORM
+        if zero.any():
+            speaker = speakers[zero.argmax()]
+            raise DataError(f"speaker '{speaker}' has a zero-mean enrollment model")
         scores = _cosines(
             dots[:, kept].sum(axis=1),
             model_norm[which],
             np.sqrt(test_sq[:, kept].sum(axis=1))[rows],
         )
-        result = compute_eer(ScoredTrials(scores=scores, labels=labels))
+        result = compute_eer(ScoredTrials(scores=scores, labels=trials.labels))
         result_rows.append(
             SweepRow(
                 family=family,

@@ -197,7 +197,8 @@ def generate(config: PopulationConfig) -> EmbeddingSet:
 
 def make_trials(embeddings: EmbeddingSet, n_nontarget: int, seed: int) -> TrialList:
     """All same-speaker (speaker, utterance) pairs as targets plus
-    ``n_nontarget`` seeded cross-speaker pairs. Desk-scale stand-in for a
+    ``n_nontarget`` seeded cross-speaker pairs, drawn in batches that give the
+    same pairs as one-at-a-time rejection sampling. Desk-scale stand-in for a
     published trial protocol."""
     if n_nontarget < 1:
         raise DataError("need at least one nontarget trial")
@@ -207,20 +208,21 @@ def make_trials(embeddings: EmbeddingSet, n_nontarget: int, seed: int) -> TrialL
     entries = [
         Trial(spk, utt, True) for utt, spk in zip(embeddings.utt_ids, embeddings.spk_ids)
     ]
+    n, n_spk = len(embeddings), len(speakers)
+    code_of = dict(zip(speakers, range(n_spk)))
+    row_codes = np.array([code_of[spk] for spk in embeddings.spk_ids])
     rng = CounterRng(seed)
-    n = len(embeddings)
-    drawn = 0
-    attempts = 0
-    max_attempts = 1000 * n_nontarget
-    while drawn < n_nontarget:
-        attempts += 1
-        if attempts > max_attempts:
+    attempts_left, missing = 1000 * n_nontarget, n_nontarget
+    while missing:
+        batch = min(missing, attempts_left)
+        if not batch:
             raise NumericalError("could not draw enough cross-speaker pairs")
-        pick = rng.uniforms(2)
-        spk = speakers[min(int(pick[0] * len(speakers)), len(speakers) - 1)]
-        row = min(int(pick[1] * n), n - 1)
-        if embeddings.spk_ids[row] == spk:
-            continue
-        entries.append(Trial(spk, embeddings.utt_ids[row], False))
-        drawn += 1
+        attempts_left -= batch
+        pick = rng.uniforms(2 * batch)
+        spk = np.minimum((pick[0::2] * n_spk).astype(np.intp), n_spk - 1)
+        row = np.minimum((pick[1::2] * n).astype(np.intp), n - 1)
+        keep = row_codes[row] != spk
+        spk, row = spk[keep].tolist(), row[keep].tolist()
+        entries += (Trial(speakers[s], embeddings.utt_ids[r], False) for s, r in zip(spk, row))
+        missing -= len(spk)
     return TrialList(tuple(entries))

@@ -11,11 +11,14 @@ import math
 import numpy as np
 
 from varispace import (
+    CounterRng,
     DataError,
     NumericalError,
     ScoredTrials,
     SubspaceSpec,
     SweepRow,
+    Trial,
+    TrialList,
     build_enrollment,
     compute_eer,
     modify_batch,
@@ -415,3 +418,33 @@ def per_k_sweep_oracle(
             )
         )
     return tuple(rows)
+
+
+def make_trials_oracle(embeddings, n_nontarget: int, seed: int) -> TrialList:
+    """``make_trials`` one attempt at a time: two uniforms per attempt, a
+    same-speaker pick rejected by comparing speaker ids."""
+    if n_nontarget < 1:
+        raise DataError("need at least one nontarget trial")
+    speakers = embeddings.speakers()
+    if len(speakers) < 2:
+        raise DataError("cross-speaker trials need at least two speakers")
+    entries = [
+        Trial(spk, utt, True) for utt, spk in zip(embeddings.utt_ids, embeddings.spk_ids)
+    ]
+    rng = CounterRng(seed)
+    n = len(embeddings)
+    drawn = 0
+    attempts = 0
+    max_attempts = 1000 * n_nontarget
+    while drawn < n_nontarget:
+        attempts += 1
+        if attempts > max_attempts:
+            raise NumericalError("could not draw enough cross-speaker pairs")
+        pick = rng.uniforms(2)
+        spk = speakers[min(int(pick[0] * len(speakers)), len(speakers) - 1)]
+        row = min(int(pick[1] * n), n - 1)
+        if embeddings.spk_ids[row] == spk:
+            continue
+        entries.append(Trial(spk, embeddings.utt_ids[row], False))
+        drawn += 1
+    return TrialList(tuple(entries))

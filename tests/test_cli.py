@@ -254,6 +254,15 @@ class TestEer:
         assert err.startswith("error:data:")
         assert "trial 2" in err
 
+    def test_blank_lines_keep_file_line_numbers(self, workdir, capsys):
+        (workdir / "gaps.txt").write_text(
+            "\nspk1 spk1_utt1 target\n\n   \nspk2 spk1_utt1 nontarget\n\nspk1 ghost target\n"
+        )
+        assert main(["eer", "--enroll", str(workdir / "emb.csv"),
+                     "--test", str(workdir / "emb.csv"),
+                     "--trials", str(workdir / "gaps.txt")]) == 1
+        assert capsys.readouterr().err == "error:data:trial 7: unknown test utterance 'ghost'\n"
+
 
 class TestSweep:
     def test_row_count_inclusive_range(self, workdir, capsys):
@@ -342,6 +351,18 @@ class TestSweep:
                      "--family", "primary", "--k", "5:1:1",
                      "--out", str(workdir / "s.csv")]) == 1
         assert capsys.readouterr().err.startswith("error:data:")
+
+    def test_size_above_dimension_rejected_before_expansion(self, workdir, capsys):
+        # the range is never expanded: 10^19 sizes would not fit in memory
+        assert main(["sweep", "--space", str(workdir / "space.vsp"),
+                     "--embeddings", str(workdir / "emb.csv"),
+                     "--trials", str(workdir / "trials.txt"),
+                     "--family", "primary", "--k", "0:10000000000000000000:1",
+                     "--out", str(workdir / "s.csv")]) == 1
+        assert capsys.readouterr().err == (
+            "error:data:sweep size 10000000000000000000 exceeds the space dimension 8\n"
+        )
+        assert not (workdir / "s.csv").exists()
 
     def test_idempotent_output_bytes(self, workdir):
         args = ["sweep", "--space", str(workdir / "space.vsp"),

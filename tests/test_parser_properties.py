@@ -1,7 +1,8 @@
-"""Property tests over every input parser: whatever the bytes or text, the
-only exceptions that escape are ``VarispaceError`` (bad data, a bad format
-or a numerical failure) and ``OSError``, and ``varispace fit`` reports a
-failure as exactly one ``error:`` line."""
+"""Property tests over every input parser and every function that takes a
+plain array: whatever the bytes, text or nested lists, the only exceptions
+that escape are ``VarispaceError`` (bad data, a bad format or a numerical
+failure) and ``OSError``, and ``varispace fit`` reports a failure as exactly
+one ``error:`` line."""
 
 import io
 import struct
@@ -12,14 +13,22 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from varispace import (
+    DataError,
+    EmbeddingSet,
+    SubspaceSpec,
     VarispaceError,
+    cosine,
+    fit,
     load_embeddings,
     load_space,
     load_trials,
+    modify,
     parse_population_config,
     parse_spec,
+    project,
     read_spectrum_csv,
     read_sweep_csv,
+    reconstruct,
 )
 from varispace.cli import main
 
@@ -132,3 +141,46 @@ def test_cli_fit_prints_one_error_line(tmp_path, contents):
     else:
         assert code in (1, 2, 3)
         assert len(lines) == 1 and lines[0].startswith("error:"), lines
+
+
+SPACE = fit(EmbeddingSet(("a", "b", "c"), ("s", "s", "t"), [[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]]))
+ARRAY_ENTRY_POINTS = {
+    "cosine": lambda x: cosine(x, [1.0, 0.0]),
+    "modify": lambda x: modify(SPACE, x, SubspaceSpec(1, 1, "+")),
+    "project": lambda x: project(SPACE, x),
+    "reconstruct": lambda x: reconstruct(SPACE, x),
+}
+
+# nested lists of numbers, non-finite values, None, complex numbers, dicts
+# and short strings. The magnitudes stay far from float64 overflow, whose
+# RuntimeWarning in the norms is a separate fault from parsing the array
+array_like = st.recursive(
+    st.one_of(
+        st.integers(-9, 9),
+        st.floats(-1e6, 1e6),
+        st.sampled_from([float("nan"), float("inf"), float("-inf"), None, 1j, {}]),
+        st.text(FORMAT_CHARS, max_size=4),
+    ),
+    lambda inner: st.lists(inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@pytest.mark.parametrize("values", [[[1.0], [2.0, 3.0]], [1.0, 1j], [{}, 1.0]])
+@pytest.mark.parametrize("name", list(ARRAY_ENTRY_POINTS))
+def test_non_numeric_array_is_data_error(name, values):
+    with pytest.raises(DataError, match="not a numeric vector"):
+        ARRAY_ENTRY_POINTS[name](values)
+
+
+@pytest.mark.parametrize("name", list(ARRAY_ENTRY_POINTS))
+@PROPERTY
+@given(values=array_like)
+def test_array_entry_point(name, values):
+    _only_toolkit_errors(ARRAY_ENTRY_POINTS[name], values)
+
+
+@pytest.mark.parametrize("values", [[[1.0], [2.0, 3.0]], [[1.0, 1j]], [[{}, 1.0]]])
+def test_non_numeric_matrix_is_data_error(values):
+    with pytest.raises(DataError, match="not a numeric matrix"):
+        EmbeddingSet(tuple(f"u{i}" for i in range(len(values))), ("s",) * len(values), values)

@@ -108,7 +108,7 @@ class TestScoreTrials:
         )
         scored = score_trials(models, emb, trials)
         for i, t in enumerate(trials):
-            expected = cosine(models[t.enroll_speaker], emb.vector(t.test_utterance))
+            expected = cosine(models[t.enroll_speaker], emb.vectors[emb.row(t.test_utterance)])
             assert scored.scores[i] == expected
 
     def test_scores_across_chunks_match_per_pair_cosine(self):
@@ -122,7 +122,10 @@ class TestScoreTrials:
             for i in range(9000)
         ))
         scored = score_trials(models, emb, trials)
-        expected = [cosine(models[t.enroll_speaker], emb.vector(t.test_utterance)) for t in trials]
+        expected = [
+            cosine(models[t.enroll_speaker], emb.vectors[emb.row(t.test_utterance)])
+            for t in trials
+        ]
         assert scored.scores.tolist() == expected
         assert scored.labels.tolist() == [t.target for t in trials]
 
@@ -139,6 +142,25 @@ class TestScoreTrials:
         with pytest.raises(DataError) as err:
             score_trials({"a": np.array([1.0, 0.0])}, emb, trials)
         assert "trial 4" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            # an unknown utterance before an unknown speaker
+            ((("a", "nope", 5), ("z", "u1", 8)), "trial 5: unknown test utterance 'nope'"),
+            # an unknown speaker before an unknown utterance
+            ((("z", "u1", 5), ("a", "nope", 8)), "trial 5: no enrollment for speaker 'z'"),
+            # both unknown in one trial: the speaker is named
+            ((("z", "nope", 5), ("a", "gone", 8)), "trial 5: no enrollment for speaker 'z'"),
+        ],
+    )
+    def test_earliest_bad_trial_named(self, bad, message):
+        emb = _set(["u1"], ["a"], [[1.0, 0.0]])
+        good = [Trial("a", "u1", True, line=2), Trial("a", "u1", False, line=3)]
+        trials = TrialList(tuple(good + [Trial(s, u, False, line=ln) for s, u, ln in bad]))
+        with pytest.raises(DataError) as err:
+            score_trials({"a": np.array([1.0, 0.0])}, emb, trials)
+        assert str(err.value) == message
 
 
 def _scored(targets, nontargets):

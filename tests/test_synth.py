@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import brute_eer, brute_eig, eig2x2_charpoly
+from helpers import brute_eer, brute_eig, eig2x2_charpoly, make_trials_oracle
 from varispace import (
     CounterRng,
     DataError,
+    EmbeddingSet,
+    NumericalError,
     PopulationConfig,
     ScoredTrials,
     eig_sym,
@@ -61,7 +65,7 @@ class TestGenerate:
     def test_zero_within_variance_collapses_speakers(self):
         emb = generate(_config(within_variances=np.zeros(32)))
         for spk in emb.speakers():
-            rows = np.array([emb.vector(u) for u in emb.utterances_of(spk)])
+            rows = emb.vectors[emb.speaker_rows(spk)]
             assert np.all(rows == rows[0])
 
     def test_fixed_seed_byte_identical(self):
@@ -196,6 +200,69 @@ class TestMakeTrials:
                                within_variances=np.full(4, 0.1)))
         with pytest.raises(DataError):
             make_trials(emb, 10, seed=1)
+
+    def test_attempt_bound_is_numerical_error(self, monkeypatch):
+        # the first two attempts pick speaker 1 and a row of speaker 3; every
+        # later one draws two equal uniforms, which pick speaker floor(u*S)
+        # and row floor(u*S*U): in a speaker-major population, its own row
+        emb = generate(_config(n_speakers=3, utts_per_speaker=4, dim=4,
+                               between_variances=np.ones(4),
+                               within_variances=np.full(4, 0.1)))
+        drawn = []
+
+        def scripted_uniforms(self, n):
+            start = sum(drawn)
+            drawn.append(n)
+            u = np.full(n, 0.5)
+            head = [0.1, 0.9, 0.1, 0.9][start:start + n]
+            u[:len(head)] = head
+            return u
+
+        monkeypatch.setattr(CounterRng, "uniforms", scripted_uniforms)
+        for draw in (make_trials, make_trials_oracle):
+            drawn.clear()
+            with pytest.raises(NumericalError, match="cross-speaker pairs"):
+                draw(emb, 7, seed=1)
+            # two uniforms per attempt, and exactly the 1000 attempts per pair
+            # that the bound allows (the batches of 5 do not divide 6993)
+            assert sum(drawn) == 2 * 1000 * 7
+
+    def test_eval_scale_equals_one_at_a_time_drawing(self):
+        emb = generate(_config(n_speakers=500, utts_per_speaker=20, dim=4,
+                               between_variances=np.ones(4),
+                               within_variances=np.full(4, 0.1)))
+        assert make_trials(emb, 10000, seed=7) == make_trials_oracle(emb, 10000, seed=7)
+
+
+@st.composite
+def labelled_sets(draw):
+    """Sets whose speakers are interleaved in any order, of any sizes,
+    including two speakers of very different sizes."""
+    if draw(st.booleans()):
+        small, large = draw(st.integers(1, 3)), draw(st.integers(30, 200))
+        spk_ids = ["big"] * large + ["tiny"] * small
+        spk_ids = draw(st.permutations(spk_ids))
+    else:
+        n_spk = draw(st.integers(2, 12))
+        spk_ids = draw(st.lists(st.integers(0, n_spk - 1), min_size=2, max_size=80))
+        spk_ids = [f"s{k}" for k in spk_ids]
+        if len(set(spk_ids)) < 2:
+            spk_ids[-1] = "other"
+    n = len(spk_ids)
+    return EmbeddingSet(tuple(f"u{i}" for i in range(n)), tuple(spk_ids), np.ones((n, 1)))
+
+
+class TestMakeTrialsOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        emb=labelled_sets(),
+        n_nontarget=st.integers(1, 300),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_equals_one_at_a_time_drawing(self, emb, n_nontarget, seed):
+        trials = make_trials(emb, n_nontarget, seed)
+        assert trials == make_trials_oracle(emb, n_nontarget, seed)
+        assert trials.labels.tolist() == [t.target for t in trials]
 
 
 class TestBruteEig:
