@@ -16,6 +16,7 @@ import numpy as np
 from . import __version__
 from .embeddings import detect_format, load_embeddings, load_trials, save_embeddings
 from .errors import DataError, NumericalError
+from .linalg import check_finite
 from .scoring import (
     build_enrollment,
     compute_eer,
@@ -99,9 +100,11 @@ def _cmd_modify(args) -> int:
     spec = parse_spec(args.spec)
     embeddings = load_embeddings(args.embeddings)
     modified, report = modify_batch_with_reports(space, embeddings, spec)
+    with np.errstate(over="ignore"):
+        mean_removed = float(np.mean(report.removed_energy))
+    check_finite("mean removed energy overflows float64", mean_removed)
     out_format = args.format if args.format != "auto" else detect_format(args.embeddings)
     save_embeddings(modified, args.out, format=out_format)
-    mean_removed = float(np.mean(report.removed_energy))
     print(f"records={len(modified)} mean_removed_energy={_fmt(mean_removed)}")
     print(f"wrote={args.out}")
     return 0

@@ -8,7 +8,9 @@ import io
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -71,6 +73,10 @@ class EmbeddingSet:
         if row is None:
             raise DataError(f"unknown utterance id '{utt_id}'")
         return row
+
+    def rows_of(self, utt_ids: Iterable[str]) -> np.ndarray:
+        """Row index of each utterance, in order; -1 for an unknown id."""
+        return np.fromiter(map(self._row_of.get, utt_ids, repeat(-1)), dtype=np.intp)
 
     def speakers(self) -> tuple[str, ...]:
         """Distinct speaker ids in first-appearance order."""
@@ -190,21 +196,24 @@ def _load_csv(source) -> EmbeddingSet:
 
 
 def _save_binary(embeddings: EmbeddingSet, destination) -> None:
-    d = embeddings.dim
-    out = bytearray()
-    out += struct.pack("<4sIIQ", EMBEDDINGS_MAGIC, EMBEDDINGS_VERSION, d, len(embeddings))
-    for utt, spk, vec in zip(embeddings.utt_ids, embeddings.spk_ids, embeddings.vectors):
+    d, n = embeddings.dim, len(embeddings)
+    pieces = [struct.pack("<4sIIQ", EMBEDDINGS_MAGIC, EMBEDDINGS_VERSION, d, n)]
+    with np.errstate(over="ignore"):
+        vectors = embeddings.vectors.astype("<f4")
+    fits = np.isfinite(vectors).all(axis=1)
+    if not fits.all():
+        raise DataError(
+            f"utterance '{embeddings.utt_ids[fits.argmin()]}': a value exceeds the "
+            "float32 range of the binary format"
+        )
+    for utt, spk, vec in zip(embeddings.utt_ids, embeddings.spk_ids, vectors):
         utt_b = _utf8(utt)
         spk_b = _utf8(spk)
         if len(utt_b) > 0xFFFF or len(spk_b) > 0xFFFF:
             raise DataError(f"id too long for binary format: '{utt}'")
-        out += struct.pack("<H", len(utt_b))
-        out += utt_b
-        out += struct.pack("<H", len(spk_b))
-        out += spk_b
-        out += vec.astype("<f4").tobytes()
+        pieces += (struct.pack("<H", len(utt_b)), utt_b, struct.pack("<H", len(spk_b)), spk_b, vec)
     with open(destination, "wb") as fh:
-        fh.write(bytes(out))
+        fh.write(b"".join(pieces))
 
 
 def _load_binary(source) -> EmbeddingSet:
@@ -219,39 +228,33 @@ def _load_binary(source) -> EmbeddingSet:
         raise FormatError(f"unsupported embeddings file version {version}")
     if d < 1:
         raise DataError("embeddings file declares dimension 0")
+    view = memoryview(blob)
     offset = header_size
-    utts, spks, rows = [], [], []
-    vec_bytes = 4 * d
-    for _ in range(n):
-        try:
-            (utt_len,) = struct.unpack_from("<H", blob, offset)
-            offset += 2
-            if offset + utt_len > len(blob):
-                raise FormatError("embeddings file truncated inside a record")
-            utt = blob[offset : offset + utt_len].decode("utf-8")
-            offset += utt_len
-            (spk_len,) = struct.unpack_from("<H", blob, offset)
-            offset += 2
-            if offset + spk_len > len(blob):
-                raise FormatError("embeddings file truncated inside a record")
-            spk = blob[offset : offset + spk_len].decode("utf-8")
-            offset += spk_len
-            if offset + vec_bytes > len(blob):
-                raise FormatError("embeddings file truncated inside a record")
-            vec = np.frombuffer(blob, dtype="<f4", count=d, offset=offset)
-            offset += vec_bytes
-        except (struct.error, UnicodeDecodeError) as exc:
-            raise FormatError(f"embeddings file record corrupt: {exc}") from None
-        utts.append(utt)
-        spks.append(spk)
-        rows.append(vec.astype(np.float64))
+
+    def take(size: int) -> memoryview:
+        nonlocal offset
+        if offset + size > len(blob):
+            raise FormatError("embeddings file truncated inside a record")
+        offset += size
+        return view[offset - size : offset]
+
+    # ids are parsed record by record; the vectors' bytes are converted at once
+    utts, spks, vectors = [], [], []
+    try:
+        for _ in range(n):
+            utts.append(str(take(int.from_bytes(take(2), "little")), "utf-8"))
+            spks.append(str(take(int.from_bytes(take(2), "little")), "utf-8"))
+            vectors.append(take(4 * d))
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"embeddings file record corrupt: {exc}") from None
     if offset != len(blob):
         raise FormatError(
             f"embeddings file has {len(blob) - offset} trailing bytes after {n} records"
         )
-    if not rows:
+    if not vectors:
         raise DataError("embeddings file contains no records")
-    return EmbeddingSet(tuple(utts), tuple(spks), np.array(rows, dtype=np.float64))
+    vectors = np.frombuffer(b"".join(vectors), dtype="<f4").reshape(n, d)
+    return EmbeddingSet(tuple(utts), tuple(spks), vectors.astype(np.float64))
 
 
 @dataclass(frozen=True, slots=True)

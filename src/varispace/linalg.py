@@ -47,6 +47,14 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
     return arr
 
 
+def check_finite(message: str, *arrays) -> None:
+    """Raise NumericalError(message) unless every entry of ``arrays`` is
+    finite. Callers compute from finite inputs under ``np.errstate``, so a
+    non-finite entry means the arithmetic overflowed float64."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise NumericalError(message)
+
+
 def covariance(vectors) -> np.ndarray:
     """Unbiased sample covariance of the rows of an (N, D) matrix (or of a
     sequence of N equal-length rows). N >= 2 is required.
@@ -83,13 +91,8 @@ def covariance(vectors) -> np.ndarray:
 def fix_eigvec_signs(basis: np.ndarray) -> None:
     """Flip each column so its largest-magnitude entry (lowest index on
     ties) is positive. In-place."""
-    for j in range(basis.shape[1]):
-        col = basis[:, j]
-        k = int(np.argmax(np.abs(col)))
-        if col[k] < 0.0:
-            # plain assignment, not np.negative(col, out=col): some SIMD numpy
-            # builds mis-handle aliased out= on strided column views
-            basis[:, j] = -col
+    peaks = basis[np.argmax(np.abs(basis), axis=0), np.arange(basis.shape[1])]
+    basis[:, peaks < 0.0] *= -1.0
 
 
 def eig_sym(matrix) -> tuple[np.ndarray, np.ndarray]:

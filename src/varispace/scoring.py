@@ -5,14 +5,15 @@ sweeps that tabulate EER against the removed block size."""
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from .embeddings import EmbeddingSet, TrialList, open_text
-from .errors import DataError, FormatError
-from .linalg import as_vector
+from .errors import DataError, FormatError, NumericalError
+from .linalg import as_vector, check_finite
 from .space import VariabilitySpace
 from .subspace import BACKWARD, FORWARD, SubspaceSpec, resolve_indices
 
@@ -21,6 +22,9 @@ SWEEP_FAMILIES = ("primary", "secondary", "residual")
 _ZERO_NORM = 1e-30
 
 
+# Finite inputs can overflow float64 in the norms and inner products below;
+# the functions under np.errstate reject the non-finite results.
+@np.errstate(over="ignore", invalid="ignore")
 def build_enrollment(embeddings: EmbeddingSet, speaker: str) -> np.ndarray:
     """Length-normalized mean of a speaker's embeddings."""
     rows = embeddings.speaker_rows(speaker)
@@ -28,6 +32,8 @@ def build_enrollment(embeddings: EmbeddingSet, speaker: str) -> np.ndarray:
         raise DataError(f"unknown speaker '{speaker}'")
     mean = embeddings.vectors[rows].mean(axis=0)
     norm = float(np.linalg.norm(mean))
+    if not math.isfinite(norm):
+        raise NumericalError(f"speaker '{speaker}': enrollment model norm overflows float64")
     if norm <= _ZERO_NORM:
         raise DataError(f"speaker '{speaker}' has a zero-mean enrollment model")
     return mean / norm
@@ -37,9 +43,12 @@ def _cosines(dots: np.ndarray, norms_a: np.ndarray, norms_b: np.ndarray) -> np.n
     """Cosines from inner products and norms, clamped to [-1, 1]."""
     if np.any(norms_a <= _ZERO_NORM) or np.any(norms_b <= _ZERO_NORM):
         raise DataError("cosine of a zero vector is undefined")
-    return np.clip(dots / (norms_a * norms_b), -1.0, 1.0)
+    cosines = dots / (norms_a * norms_b)
+    check_finite("cosine: a norm or inner product overflows float64", norms_a, norms_b, cosines)
+    return np.clip(cosines, -1.0, 1.0)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The one scoring kernel: cosine of each row pair of two (T, D)
     matrices, clamped to [-1, 1]. Each row's result is the same whatever T."""
@@ -101,10 +110,9 @@ def _resolve_trials(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each trial's model index and test row. Unresolvable ids abort, naming
     the earliest such trial's source line (its speaker before its utterance)."""
-    row_of = dict(zip(test_set.utt_ids, range(len(test_set))))
     n = len(trials)
     models = np.fromiter((model_index.get(t.enroll_speaker, -1) for t in trials), np.intp, n)
-    rows = np.fromiter((row_of.get(t.test_utterance, -1) for t in trials), np.intp, n)
+    rows = test_set.rows_of(t.test_utterance for t in trials)
     bad = (models < 0) | (rows < 0)
     if bad.any():
         i = int(bad.argmax())
@@ -197,6 +205,7 @@ class SweepResult:
     rows: tuple[SweepRow, ...]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_sweep(
     space: VariabilitySpace,
     embeddings: EmbeddingSet,
@@ -240,20 +249,18 @@ def run_sweep(
         "secondary": (turning_dim, BACKWARD),
         "residual": (space.dim, BACKWARD),
     }[family]
-    specs, blocks = [], []
+    blocks = []
     for k in sizes:
         if k < 0:
             raise DataError(f"sweep size {k} is negative")
-        spec = SubspaceSpec(start=start, size=k, direction=direction, family=family)
         try:
-            indices = resolve_indices(spec, space.dim)
+            indices = resolve_indices(SubspaceSpec(start, k, direction, family), space.dim)
         except DataError as exc:
             raise DataError(f"size {k} unresolvable: {exc}") from None
         if k == space.dim:
             raise DataError(
                 f"sweep size {k} removes all {space.dim} dimensions, leaving nothing to score"
             )
-        specs.append(spec)
         # 0-based half-open coefficient range the block removes
         blocks.append((indices[0] - 1, indices[-1]) if indices else (0, 0))
 
@@ -274,7 +281,7 @@ def run_sweep(
     )
 
     result_rows = []
-    for k, spec, (lo, hi) in zip(sizes, specs, blocks):
+    for k, (lo, hi) in zip(sizes, blocks):
         kept = (starts < lo) | (starts >= hi)
         model_norm = np.sqrt((model_sq if clean_enrollment else model_sq[:, kept]).sum(axis=1))
         zero = model_norm <= _ZERO_NORM
@@ -290,9 +297,9 @@ def run_sweep(
         result_rows.append(
             SweepRow(
                 family=family,
-                start=spec.start,
+                start=start,
                 size=k,
-                direction=spec.direction,
+                direction=direction,
                 eer_percent=result.eer_percent,
                 n_target=result.n_target,
                 n_nontarget=result.n_nontarget,

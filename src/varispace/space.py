@@ -18,7 +18,7 @@ import numpy as np
 
 from .embeddings import EmbeddingSet, open_text
 from .errors import DataError, FormatError
-from .linalg import as_matrix, as_vector, covariance, eig_sym
+from .linalg import as_matrix, as_vector, check_finite, covariance, eig_sym
 
 SPACE_MAGIC = b"VSP1"
 SPACE_VERSION = 1
@@ -134,15 +134,20 @@ def fit(embeddings: EmbeddingSet) -> VariabilitySpace:
     return VariabilitySpace(mean=data.mean(axis=0), basis=basis, eigenvalues=lam)
 
 
+# near the largest float64, finite inputs can overflow the products below
+@np.errstate(over="ignore", invalid="ignore")
 def project(space: VariabilitySpace, x) -> np.ndarray:
     """Coefficients of the raw embedding ``x`` (no mean subtraction) in the
     space's basis."""
     vec = as_vector(x, "embedding")
     if vec.size != space.dim:
         raise DataError(f"embedding dimension {vec.size} != space dimension {space.dim}")
-    return space.basis.T @ vec
+    coeff = space.basis.T @ vec
+    check_finite("projection overflows float64", coeff)
+    return coeff
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def reconstruct(space: VariabilitySpace, coefficients) -> np.ndarray:
     """Embedding synthesized from a coefficient vector: basis @ coefficients."""
     coeff = as_vector(coefficients, "coefficients")
@@ -150,7 +155,9 @@ def reconstruct(space: VariabilitySpace, coefficients) -> np.ndarray:
         raise DataError(
             f"coefficient dimension {coeff.size} != space dimension {space.dim}"
         )
-    return space.basis @ coeff
+    vec = space.basis @ coeff
+    check_finite("reconstruction overflows float64", vec)
+    return vec
 
 
 def floor_epsilon(eigenvalues: np.ndarray) -> float:
@@ -209,10 +216,8 @@ def detect_turning(
         )
     profile = np.abs(values)
 
-    tail_ok = np.empty(m, dtype=bool)
-    tail_ok[m - 1] = True
-    for i in range(m - 2, -1, -1):
-        tail_ok[i] = tail_ok[i + 1] and profile[i] <= profile[i + 1]
+    # tail_ok[i]: the magnitudes from i on never decrease
+    tail_ok = np.logical_and.accumulate(np.append(profile[:-1] <= profile[1:], True)[::-1])[::-1]
 
     trace = []
     accepted_index = 0
@@ -244,14 +249,10 @@ def detect_turning(
 def save_space(space: VariabilitySpace, destination) -> None:
     """Write a space file: magic, version, dimension, mean, eigenvalues, and
     the basis row-major, all little-endian."""
-    d = space.dim
-    payload = bytearray()
-    payload += struct.pack("<4sII", SPACE_MAGIC, SPACE_VERSION, d)
-    payload += space.mean.astype("<f8").tobytes(order="C")
-    payload += space.eigenvalues.astype("<f8").tobytes(order="C")
-    payload += np.ascontiguousarray(space.basis).astype("<f8").tobytes(order="C")
+    values = np.concatenate([space.mean, space.eigenvalues, space.basis.ravel()])
     with open(destination, "wb") as fh:
-        fh.write(bytes(payload))
+        fh.write(struct.pack("<4sII", SPACE_MAGIC, SPACE_VERSION, space.dim))
+        fh.write(values.astype("<f8").tobytes())
 
 
 def load_space(source) -> VariabilitySpace:
@@ -274,17 +275,10 @@ def load_space(source) -> VariabilitySpace:
             f"space file length {len(blob)} inconsistent with declared "
             f"dimension {d} (expected {expected})"
         )
-    offset = header_size
-    mean = np.frombuffer(blob, dtype="<f8", count=d, offset=offset).astype(np.float64)
-    offset += 8 * d
-    lam = np.frombuffer(blob, dtype="<f8", count=d, offset=offset).astype(np.float64)
-    offset += 8 * d
-    basis = (
-        np.frombuffer(blob, dtype="<f8", count=d * d, offset=offset)
-        .astype(np.float64)
-        .reshape(d, d)
+    values = np.frombuffer(blob, dtype="<f8", offset=header_size)
+    return VariabilitySpace(
+        mean=values[:d], basis=values[2 * d :].reshape(d, d), eigenvalues=values[d : 2 * d]
     )
-    return VariabilitySpace(mean=mean, basis=basis, eigenvalues=lam)
 
 
 def write_spectrum_csv(space: VariabilitySpace, destination) -> None:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .embeddings import EmbeddingSet
 from .errors import DataError
-from .linalg import as_vector
+from .linalg import as_vector, check_finite
 from .space import VariabilitySpace
 
 FORWARD = "+"
@@ -107,20 +107,29 @@ class ModificationReport:
     """What a modification removed: the zeroed 1-based indices, the
     coefficient energy taken out, and the embedding norms before/after.
     Floats from :func:`modify`; per-row vectors from
-    :func:`modify_batch_with_reports`."""
+    :func:`modify_batch_with_reports`. A non-finite energy or norm, which
+    only overflow of finite embeddings gives, raises NumericalError."""
 
     zeroed_indices: tuple[int, ...]
     removed_energy: float | np.ndarray
     original_norm: float | np.ndarray
     modified_norm: float | np.ndarray
 
+    def __post_init__(self):
+        fields = (self.removed_energy, self.original_norm, self.modified_norm)
+        check_finite("removed energy or embedding norm overflows float64", *fields)
 
+
+# Finite inputs can overflow float64 in the products and norms below; the
+# kernel and ModificationReport reject the non-finite results.
+@np.errstate(over="ignore", invalid="ignore")
 def _remove_block(
     space: VariabilitySpace, rows: np.ndarray, indices: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
     """The one modification kernel: ``rows - (rows B_S) B_S^T`` for an (N, D)
     matrix, where ``B_S`` holds the basis columns at ``indices``. Returns the
-    modified rows and each row's removed energy. Size-0 blocks copy."""
+    modified rows and each row's removed energy (inf if it overflows).
+    Size-0 blocks copy."""
     if not indices:
         return rows.copy(), np.zeros(len(rows))
     block = space.basis[:, [i - 1 for i in indices]]
@@ -130,9 +139,11 @@ def _remove_block(
     coeff = np.einsum("nd,dk->nk", rows, block)
     modified = coeff @ block.T
     np.subtract(rows, modified, out=modified)
+    check_finite("modified embeddings overflow float64", modified)
     return modified, np.einsum("nk,nk->n", coeff, coeff)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def modify(
     space: VariabilitySpace, x, spec: SubspaceSpec
 ) -> tuple[np.ndarray, ModificationReport]:
@@ -163,6 +174,7 @@ def modify_batch(
     return _modify_set(space, embeddings, spec)[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def modify_batch_with_reports(
     space: VariabilitySpace, embeddings: EmbeddingSet, spec: SubspaceSpec
 ) -> tuple[EmbeddingSet, ModificationReport]:

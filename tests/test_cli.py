@@ -374,6 +374,44 @@ class TestSweep:
         assert (workdir / "r1.csv").read_bytes() == (workdir / "r2.csv").read_bytes()
 
 
+class TestOverflow:
+    """Finite embeddings whose norms overflow float64: one numerical line."""
+
+    @pytest.mark.parametrize("command", [
+        ["eer", "--enroll", "huge.csv", "--test", "huge.csv", "--trials", "trials.txt"],
+        ["modify", "--space", "space.vsp", "--embeddings", "huge.csv", "--spec", "1:1:+",
+         "--out", "out.csv"],
+        ["sweep", "--space", "space.vsp", "--embeddings", "huge.csv", "--trials", "trials.txt",
+         "--family", "primary", "--k", "0:2:1", "--out", "out.csv"],
+    ], ids=["eer", "modify", "sweep"])
+    def test_one_numerical_line(self, workdir, capsys, command):
+        emb = load_embeddings(workdir / "emb.csv")
+        huge = EmbeddingSet(emb.utt_ids, emb.spk_ids, 1e200 * np.sign(emb.vectors))
+        save_embeddings(huge, workdir / "huge.csv")
+        argv = [str(workdir / a) if a.endswith((".csv", ".txt", ".vsp")) else a for a in command]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:numerical:") and captured.err.count("\n") == 1
+        assert not (workdir / "out.csv").exists()
+
+    def test_mean_removed_energy(self, tmp_path, capsys):
+        # each row's energy is finite, their sum is not
+        save_space(VariabilitySpace(np.zeros(2), np.eye(2), [2.0, 1.0]), tmp_path / "eye.vsp")
+        (tmp_path / "big.csv").write_text("utt_id,spk_id,d1,d2\nu1,a,1.3e154,0\nu2,a,1.3e154,0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["modify", "--space", str(tmp_path / "eye.vsp"), "--embeddings",
+                         str(tmp_path / "big.csv"), "--spec", "1:1:+",
+                         "--out", str(tmp_path / "out.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == "error:numerical:mean removed energy overflows float64\n"
+        assert not (tmp_path / "out.csv").exists()
+
+
 class TestUsageErrors:
     def test_unknown_flag_exits_one_with_prefix(self, capsys):
         with pytest.raises(SystemExit) as exc:

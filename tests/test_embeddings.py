@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,13 @@ class TestEmbeddingSet:
         assert emb.speaker_rows("spk1").tolist() == [1, 4]
         assert emb.speaker_rows("nobody").size == 0
         assert emb.row("utt03") == 3
+
+    def test_rows_of_marks_unknown_ids(self):
+        emb = _sample_set(np.random.default_rng(0))
+        rows = emb.rows_of(["utt03", "nope", "utt00", "utt03", ""])
+        assert rows.dtype == np.intp
+        assert rows.tolist() == [3, -1, 0, 3, -1]
+        assert emb.rows_of(iter([])).tolist() == []
 
     def test_duplicate_utterance_rejected(self):
         with pytest.raises(DataError) as err:
@@ -204,6 +213,14 @@ class TestBinaryFormat:
         with pytest.raises(FormatError):
             load_embeddings(path)
 
+    @pytest.mark.parametrize("value", [3.5e38, -1e200])
+    def test_values_beyond_float32_rejected(self, tmp_path, value):
+        emb = EmbeddingSet(("u1", "u2"), ("s", "s"), [[1.0, 2.0], [value, 0.0]])
+        path = tmp_path / "a.emb"
+        with pytest.raises(DataError, match="'u2': a value exceeds the float32 range"):
+            save_embeddings(emb, path, format="binary")
+        assert not path.exists()
+
     def test_truncation(self, tmp_path):
         path = tmp_path / "a.emb"
         save_embeddings(_sample_set(np.random.default_rng(7)), path, format="binary")
@@ -217,6 +234,79 @@ class TestBinaryFormat:
         path.write_bytes(path.read_bytes() + b"xx")
         with pytest.raises(FormatError):
             load_embeddings(path)
+
+
+def _emb1(d, records, n=None, version=1):
+    """An EMB1 file built one field at a time, as README "File formats"
+    describes it: magic, u32 version, u32 D, u64 N, then per record a u16
+    utt-id byte length, the utf-8 bytes, the same for the spk id, and D
+    little-endian f32 values."""
+    blob = b"EMB1" + struct.pack("<I", version) + struct.pack("<I", d)
+    blob += struct.pack("<Q", len(records) if n is None else n)
+    for utt, spk, values in records:
+        for name in (utt, spk):
+            raw = name.encode("utf-8") if isinstance(name, str) else name
+            blob += struct.pack("<H", len(raw)) + raw
+        blob += b"".join(struct.pack("<f", v) for v in values)
+    return blob
+
+
+# f32-exact values, so the expected float64 matrix is known exactly
+EMB1_RECORDS = [
+    ("utt-a", "spk1", [0.5, -1.25, 3.0]),
+    ("ütt-β", "spk2", [-0.0, 1024.0, 2.0**-20]),
+    ("c", "spk1", [65504.0, -0.75, 1.0]),
+]
+
+
+class TestBinaryFixtures:
+    def test_hand_built_file_loads_and_saves_back(self, tmp_path):
+        blob = _emb1(3, EMB1_RECORDS)
+        path = tmp_path / "fixture.emb"
+        path.write_bytes(blob)
+        loaded = load_embeddings(path)
+        assert loaded.utt_ids == ("utt-a", "ütt-β", "c")
+        assert loaded.spk_ids == ("spk1", "spk2", "spk1")
+        expected = np.array([values for _, _, values in EMB1_RECORDS])
+        assert loaded.vectors.tobytes() == expected.tobytes()
+        again = tmp_path / "again.emb"
+        save_embeddings(loaded, again, format="binary")
+        assert again.read_bytes() == blob
+
+    # byte offsets, within the second record (ids of 7 and 4 utf-8 bytes),
+    # of a cut inside each field
+    @pytest.mark.parametrize(
+        "field, cut", [("utt length", 1), ("utt bytes", 2 + 3), ("spk length", 2 + 7 + 1),
+                       ("spk bytes", 2 + 7 + 2 + 1), ("vector", 2 + 7 + 2 + 4 + 5)]
+    )
+    def test_truncation_inside_each_field(self, tmp_path, field, cut):
+        second = len(_emb1(3, EMB1_RECORDS[:1]))
+        assert len("ütt-β".encode()) == 7
+        path = tmp_path / "cut.emb"
+        path.write_bytes(_emb1(3, EMB1_RECORDS)[: second + cut])
+        with pytest.raises(FormatError, match="truncated inside a record"):
+            load_embeddings(path)
+
+    @pytest.mark.parametrize(
+        "blob, error, match",
+        [
+            (b"EMB1" + struct.pack("<I", 1) + struct.pack("<I", 3), FormatError, "truncated"),
+            (_emb1(3, EMB1_RECORDS, version=2), FormatError, "version 2"),
+            (_emb1(0, []), DataError, "dimension 0"),
+            (_emb1(3, [(b"\xff", "s", [1.0, 2.0, 3.0])]), FormatError, "record corrupt"),
+            (_emb1(3, EMB1_RECORDS) + b"\0", FormatError, "1 trailing bytes"),
+            (_emb1(3, EMB1_RECORDS, n=2), FormatError, "trailing bytes after 2 records"),
+            (_emb1(3, []), DataError, "no records"),
+        ],
+        ids=["short header", "version", "D=0", "bad utf-8", "trailing byte", "N too small",
+             "no records"],
+    )
+    def test_malformed_file(self, tmp_path, blob, error, match):
+        path = tmp_path / "bad.emb"
+        path.write_bytes(blob)
+        with pytest.raises(DataError, match=match) as err:
+            load_embeddings(path)
+        assert type(err.value) is error
 
 
 class TestTrials:

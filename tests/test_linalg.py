@@ -3,6 +3,7 @@ import pytest
 
 from helpers import cofactor_det, direct_covariance, eig2x2_charpoly, jacobi_eig_oracle
 from varispace import DataError, NumericalError, covariance, eig_sym
+from varispace.linalg import fix_eigvec_signs
 
 
 class TestCovariance:
@@ -108,6 +109,26 @@ class TestEigSym:
         for j in range(7):
             col = basis[:, j]
             assert col[int(np.argmax(np.abs(col)))] > 0.0
+
+    def test_sign_tie_goes_to_lowest_index(self):
+        a = 0.5
+        basis = np.array([[-a, a, 0.1, 0.0], [a, -a, -0.9, 0.0], [0.1, 0.2, 0.3, 0.0]])
+        expected = np.array([[a, a, -0.1, 0.0], [-a, -a, 0.9, 0.0], [-0.1, 0.2, -0.3, 0.0]])
+        fix_eigvec_signs(basis)
+        assert basis.tobytes() == expected.tobytes()
+
+    def test_sign_pinning_matches_column_loop(self):
+        # small integers make ties between entries of a column common
+        rng = np.random.default_rng(26)
+        for _ in range(200):
+            basis = rng.integers(-2, 3, size=(int(rng.integers(1, 6)), 5)).astype(float)
+            expected = basis.copy()
+            for j in range(expected.shape[1]):
+                col = expected[:, j]
+                if col[int(np.argmax(np.abs(col)))] < 0.0:
+                    expected[:, j] = -col
+            fix_eigvec_signs(basis)
+            assert basis.tobytes() == expected.tobytes()
 
     def test_tied_spectrum_compares_as_projector(self):
         # two equal eigenvalues: individual vectors are arbitrary inside the

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from varispace import (
     DataError,
     EmbeddingSet,
+    NumericalError,
     SubspaceSpec,
     VarispaceError,
     cosine,
@@ -151,13 +152,13 @@ ARRAY_ENTRY_POINTS = {
     "reconstruct": lambda x: reconstruct(SPACE, x),
 }
 
-# nested lists of numbers, non-finite values, None, complex numbers, dicts
-# and short strings. The magnitudes stay far from float64 overflow, whose
-# RuntimeWarning in the norms is a separate fault from parsing the array
+# nested lists of numbers of any finite magnitude (whose norms and products
+# can overflow float64), non-finite values, None, complex numbers, dicts and
+# short strings
 array_like = st.recursive(
     st.one_of(
         st.integers(-9, 9),
-        st.floats(-1e6, 1e6),
+        st.floats(allow_nan=False, allow_infinity=False),
         st.sampled_from([float("nan"), float("inf"), float("-inf"), None, 1j, {}]),
         st.text(FORMAT_CHARS, max_size=4),
     ),
@@ -171,6 +172,12 @@ array_like = st.recursive(
 def test_non_numeric_array_is_data_error(name, values):
     with pytest.raises(DataError, match="not a numeric vector"):
         ARRAY_ENTRY_POINTS[name](values)
+
+
+@pytest.mark.parametrize("name", list(ARRAY_ENTRY_POINTS))
+def test_finite_overflow_is_numerical_error(name):
+    with pytest.raises(NumericalError, match="overflow"):
+        ARRAY_ENTRY_POINTS[name]([1.7e308, 1.7e308])
 
 
 @pytest.mark.parametrize("name", list(ARRAY_ENTRY_POINTS))

@@ -6,6 +6,7 @@ from varispace import (
     DataError,
     EmbeddingSet,
     FormatError,
+    NumericalError,
     ScoredTrials,
     SubspaceSpec,
     Trial,
@@ -327,6 +328,38 @@ class TestRunSweep:
         a = run_sweep(space, emb, trials, "primary", [0, 2])
         b = run_sweep(space, emb, trials, "primary", [0, 2])
         assert a == b
+
+
+class TestOverflow:
+    """Finite embeddings whose norms overflow float64 are a numerical failure,
+    with no RuntimeWarning (the suite turns those into errors)."""
+
+    def _huge(self):
+        rows = 1e200 * np.array([[1.0, -1.0], [1.1, -0.9], [0.9, -1.2], [1.3, -1.0]])
+        return _set(["u1", "u2", "u3", "u4"], ["a", "b", "a", "b"], rows)
+
+    def _trials(self):
+        return TrialList((Trial("a", "u1", True), Trial("b", "u1", False)))
+
+    def test_cosine(self):
+        with pytest.raises(NumericalError, match="overflows float64"):
+            cosine([1e200, -1e200], [1.0, 0.0])
+
+    def test_build_enrollment(self):
+        with pytest.raises(NumericalError, match="speaker 'a'"):
+            build_enrollment(self._huge(), "a")
+
+    def test_score_trials(self):
+        models = {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])}
+        with pytest.raises(NumericalError, match="overflows float64"):
+            score_trials(models, self._huge(), self._trials())
+
+    @pytest.mark.parametrize("clean", [False, True])
+    def test_run_sweep(self, clean):
+        space = fit(_population(np.random.default_rng(14), d=2))
+        with pytest.raises(NumericalError, match="overflows float64"):
+            run_sweep(space, self._huge(), self._trials(), "primary", [0, 1],
+                      clean_enrollment=clean)
 
 
 class TestSweepCsv:

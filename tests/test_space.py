@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -224,6 +225,18 @@ class TestDetectTurning:
         with pytest.raises(DataError):
             detect_turning(deltas, window=10)
 
+    def test_tail_flags_match_scan(self):
+        # few distinct magnitudes, so neighbouring deltas often tie
+        rng = np.random.default_rng(49)
+        for _ in range(200):
+            values = -rng.integers(0, 4, size=int(rng.integers(12, 30))) / 4.0
+            result = detect_turning(DeltaSpectrum(values=values, floor_epsilon=1e-12))
+            expected = [
+                all(abs(values[j]) <= abs(values[j + 1]) for j in range(t, len(values) - 1))
+                for t in range(len(values))
+            ]
+            assert [c.tail_monotone for c in result.trace] == expected
+
     def test_trace_covers_all_candidates(self):
         values = plant_deltas(np.random.default_rng(48), 30, 15, 5, 0.05)
         result = detect_turning(
@@ -246,6 +259,26 @@ class TestSpaceSerialization:
         second = tmp_path / "space2.vsp"
         save_space(loaded, second)
         assert second.read_bytes() == path.read_bytes()
+
+    def test_hand_built_file_loads_and_saves_back(self, tmp_path):
+        # README "File formats", one field at a time: magic, u32 version, u32 D,
+        # then little-endian f64 mean[D], eigenvalues[D] and the basis row-major
+        mean = [0.25, -3.5, 1e-300]
+        eigenvalues = [4.0, 1.5, 0.0]
+        basis = [[0.6, -0.8, 0.0], [0.0, 0.0, -1.0], [0.8, 0.6, 0.0]]
+        blob = b"VSP1" + struct.pack("<I", 1) + struct.pack("<I", 3)
+        for value in mean + eigenvalues + [v for row in basis for v in row]:
+            blob += struct.pack("<d", value)
+        path = tmp_path / "fixture.vsp"
+        path.write_bytes(blob)
+        space = load_space(path)
+        assert space.mean.tobytes() == np.array(mean).tobytes()
+        assert space.eigenvalues.tobytes() == np.array(eigenvalues).tobytes()
+        assert space.basis.tobytes() == np.array(basis).tobytes()
+        assert space.basis[2, 0] == 0.8  # column 0 is the first eigenvector
+        again = tmp_path / "again.vsp"
+        save_space(space, again)
+        assert again.read_bytes() == blob
 
     def test_dimension_256_loads(self, tmp_path):
         lam = np.sort(np.random.default_rng(50).uniform(0.1, 5.0, 256))[::-1].copy()

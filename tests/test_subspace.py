@@ -4,6 +4,7 @@ import pytest
 from varispace import (
     DataError,
     EmbeddingSet,
+    NumericalError,
     SubspaceSpec,
     VariabilitySpace,
     fit,
@@ -12,6 +13,7 @@ from varispace import (
     modify_batch_with_reports,
     parse_spec,
     project,
+    reconstruct,
     resolve_indices,
 )
 
@@ -223,6 +225,35 @@ class TestModifyBatch:
         with pytest.raises(DataError) as err:
             modify_batch(space, batch, SubspaceSpec(1, 1, "+"))
         assert "u0" in str(err.value)
+
+
+class TestOverflow:
+    def _rotated_space(self):
+        basis = np.array([[0.6, -0.8], [0.8, 0.6]])
+        return VariabilitySpace(mean=np.zeros(2), basis=basis, eigenvalues=[2.0, 1.0])
+
+    def test_modify_report(self):
+        with pytest.raises(NumericalError, match="overflows float64"):
+            modify(_identity_space(2), [1e200, -1e200], SubspaceSpec(1, 1, "+"))
+
+    def test_batch_report(self):
+        batch = EmbeddingSet(("u1", "u2"), ("a", "a"), [[1e200, -1e200], [1.0, 2.0]])
+        with pytest.raises(NumericalError, match="overflows float64"):
+            modify_batch_with_reports(_identity_space(2), batch, SubspaceSpec(1, 1, "+"))
+        # without a report only the modified rows count, and they are finite
+        out = modify_batch(_identity_space(2), batch, SubspaceSpec(1, 1, "+"))
+        assert out.vectors.tolist() == [[0.0, -1e200], [0.0, 2.0]]
+
+    @pytest.mark.parametrize("call", [modify, lambda space, x, spec: modify_batch(
+        space, EmbeddingSet(("u",), ("a",), [x]), spec)], ids=["modify", "modify_batch"])
+    def test_modified_rows(self, call):
+        with pytest.raises(NumericalError, match="modified embeddings overflow"):
+            call(self._rotated_space(), [1.7e308, -1.7e308], SubspaceSpec(1, 1, "+"))
+
+    @pytest.mark.parametrize("call", [project, reconstruct])
+    def test_projection_near_the_largest_float(self, call):
+        with pytest.raises(NumericalError, match="overflows float64"):
+            call(self._rotated_space(), [1.7e308, 1.7e308])
 
 
 class TestSpecValidation:
