@@ -1,15 +1,16 @@
 """Command-line front end.
 
 Subcommands: fit, spectrum, detect-knee, modify, eer, sweep, synth.
-Exit codes: 0 success, 1 validation/data error, 2 numerical failure,
-3 I/O failure. Every failure prints a single ``error:<category>:`` line on
-stderr so scripts can dispatch on the category.
+Exit codes: 0 success, 1 validation/data error (running out of memory
+included), 2 numerical failure, 3 I/O failure. Every failure prints a single
+``error:<category>:`` line on stderr so scripts can dispatch on the category.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 import numpy as np
 
@@ -64,7 +65,12 @@ def _parse_k_range(text: str) -> range:
 
 def _cmd_fit(args) -> int:
     embeddings = load_embeddings(args.embeddings)
-    space = fit(embeddings)
+    # a rank-deficient fit warns; say so in one stable line, not warnings' two
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        space = fit(embeddings)
+    for warning in caught:
+        print(f"warning:{_one_line(warning.message)}", file=sys.stderr)
     save_space(space, args.out)
     lam = space.eigenvalues
     head = ",".join(_fmt(v) for v in lam[:5])
@@ -255,6 +261,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error:io:{_one_line(exc)}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        # an input too large for this host's memory, such as a huge population
+        detail = _one_line(exc) or "allocation failed"
+        print(f"error:data:out of memory: {detail}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .embeddings import EmbeddingSet, open_text
 from .errors import DataError, FormatError
@@ -91,28 +92,17 @@ class DeltaSpectrum:
 
 
 @dataclass(frozen=True)
-class TurningCandidate:
-    """Outcome of the three turning-point checks at one delta index."""
-
-    index: int
-    tail_monotone: bool
-    window_stable: bool
-    breaks_out: bool
-
-    @property
-    def accepted(self) -> bool:
-        return self.tail_monotone and self.window_stable and self.breaks_out
-
-
-@dataclass(frozen=True)
 class TurningPoint:
     """Detected turning dimension. ``weak`` marks the fallback answer (start
     of the longest monotone-magnitude suffix) used when no index satisfies
-    all checks. Always a candidate for human confirmation, never a verdict."""
+    all checks. Always a candidate for human confirmation, never a verdict.
+    The read-only bool arrays hold each check's outcome, candidate t at t-1."""
 
     index: int
     weak: bool
-    trace: tuple[TurningCandidate, ...] = field(repr=False)
+    tail_monotone: np.ndarray = field(repr=False, compare=False)
+    window_stable: np.ndarray = field(repr=False, compare=False)
+    breaks_out: np.ndarray = field(repr=False, compare=False)
 
 
 def fit(embeddings: EmbeddingSet) -> VariabilitySpace:
@@ -195,7 +185,7 @@ def detect_turning(
     """Locate the candidate turning dimension in a delta spectrum.
 
     An index t qualifies when (a) the delta tail from t on is non-decreasing
-    in magnitude, (b) the up-to-``window`` preceding values stay
+    in magnitude, (b) the w = min(``window``, t-1) preceding values stay
     within ``oscillation_tol`` of their local mean, and (c) the value at t
     breaks out of that oscillation corridor. t=1 qualifies whenever the whole
     sequence is monotone. The smallest qualifying index is returned; if none
@@ -215,35 +205,25 @@ def detect_turning(
             f"need at least window + 2 = {window + 2}"
         )
     profile = np.abs(values)
-
-    # tail_ok[i]: the magnitudes from i on never decrease
-    tail_ok = np.logical_and.accumulate(np.append(profile[:-1] <= profile[1:], True)[::-1])[::-1]
-
-    trace = []
-    accepted_index = 0
-    for t in range(1, m + 1):
-        if t == 1:
-            window_stable = True
-            breaks_out = True
-        else:
-            w_eff = min(window, t - 1)
-            local = values[t - 1 - w_eff : t - 1]
-            local_mean = float(np.mean(local))
-            window_stable = float(np.max(np.abs(local - local_mean))) <= oscillation_tol
-            breaks_out = abs(float(values[t - 1]) - local_mean) > oscillation_tol
-        cand = TurningCandidate(
-            index=t,
-            tail_monotone=bool(tail_ok[t - 1]),
-            window_stable=window_stable,
-            breaks_out=breaks_out,
-        )
-        trace.append(cand)
-        if cand.accepted and accepted_index == 0:
-            accepted_index = t
-    if accepted_index:
-        return TurningPoint(index=accepted_index, weak=False, trace=tuple(trace))
-    fallback = int(np.argmax(tail_ok)) + 1
-    return TurningPoint(index=fallback, weak=True, trace=tuple(trace))
+    # tail_monotone[i]: the magnitudes from i on never decrease
+    steps = np.append(profile[:-1] <= profile[1:], True)
+    tail_monotone = np.logical_and.accumulate(steps[::-1])[::-1]
+    # candidate t >= 2 reads the w = min(window, t-1) deltas before it: row t-2
+    # of windows over values[:-1] padded in front. Zeros leave the sums alone,
+    # values[0] (in every short window) the max and min, where |v - mean| peaks.
+    pad = np.zeros(window - 1)
+    sums = sliding_window_view(np.append(pad, values[:-1]), window).sum(axis=1)
+    spans = sliding_window_view(np.append(pad + values[0], values[:-1]), window)
+    means = sums / np.minimum(np.arange(1, m), window)
+    spread = np.maximum(spans.max(axis=1) - means, means - spans.min(axis=1))
+    window_stable = np.append(True, spread <= oscillation_tol)
+    breaks_out = np.append(True, np.abs(values[1:] - means) > oscillation_tol)
+    accepted = tail_monotone & window_stable & breaks_out
+    weak = not accepted.any()
+    index = int(np.argmax(tail_monotone if weak else accepted)) + 1
+    for flags in (tail_monotone, window_stable, breaks_out):
+        flags.setflags(write=False)
+    return TurningPoint(index, weak, tail_monotone, window_stable, breaks_out)
 
 
 def save_space(space: VariabilitySpace, destination) -> None:

@@ -8,6 +8,7 @@ basis columns ``B_S``, it subtracts ``(x B_S) B_S^T``.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,4 +199,9 @@ def _modify_set(space, embeddings, spec) -> tuple[EmbeddingSet, np.ndarray]:
             f"{embeddings.dim} != space dimension {space.dim}"
         )
     rows, removed = _remove_block(space, embeddings.vectors, indices)
-    return EmbeddingSet(embeddings.utt_ids, embeddings.spk_ids, rows), removed
+    # the input's ids and lookup maps are checked and never mutated, and the
+    # kernel's rows are finite: share them rather than validate them again
+    modified = copy.copy(embeddings)
+    rows.setflags(write=False)
+    object.__setattr__(modified, "vectors", rows)
+    return modified, removed

@@ -359,6 +359,31 @@ def scan_turning(values, window: int, tol: float) -> tuple[int, bool]:
     raise AssertionError("unreachable: a single-element tail is always monotone")
 
 
+def turning_flags(values, window: int, tol: float):
+    """Each candidate's three turning-point checks, one candidate at a time:
+    (tail_monotone, window_stable, breaks_out, spread, distance) lists with
+    candidate t at position t-1. Candidate t >= 2 reads its w = min(window,
+    t-1) preceding values; ``spread`` is their largest distance from their
+    mean and ``distance`` that of the value at t. Candidate 1 passes the last
+    two checks vacuously (spread 0, distance inf)."""
+    m = len(values)
+    tail, stable, breaks, spreads, distances = [], [], [], [], []
+    for t in range(1, m + 1):
+        tail.append(all(abs(values[j]) <= abs(values[j + 1]) for j in range(t - 1, m - 1)))
+        if t == 1:
+            spread, distance = 0.0, math.inf
+        else:
+            local = [values[j] for j in range(max(0, t - 1 - window), t - 1)]
+            mean = sum(local) / len(local)
+            spread = max(abs(v - mean) for v in local)
+            distance = abs(values[t - 1] - mean)
+        stable.append(spread <= tol)
+        breaks.append(distance > tol)
+        spreads.append(spread)
+        distances.append(distance)
+    return tail, stable, breaks, spreads, distances
+
+
 def plant_deltas(rng: np.random.Generator, length: int, knee: int, window: int, tol: float) -> np.ndarray:
     """Delta sequence with an oscillating plateau before ``knee`` and a
     strictly growing magnitude tail from it, built so ``knee`` is the unique

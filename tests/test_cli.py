@@ -103,6 +103,25 @@ class TestFit:
         assert err.startswith("error:numerical:") and err.count("\n") == 1
         assert not (tmp_path / "x.vsp").exists()
 
+    def test_rank_deficient_fit_warns_in_one_line(self, tmp_path, capsys):
+        (tmp_path / "pop.cfg").write_text(
+            POP_CONFIG.replace("n_speakers=6", "n_speakers=3")
+            .replace("utts_per_speaker=5", "utts_per_speaker=4")
+            .replace("dim=8", "dim=32").replace("0.0x5", "0.0x29").replace("0.1x8", "0.1x32")
+        )
+        assert main(["synth", "--config", str(tmp_path / "pop.cfg"),
+                     "--out", str(tmp_path / "emb.csv")]) == 0
+        capsys.readouterr()
+        assert main(["fit", "--embeddings", str(tmp_path / "emb.csv"),
+                     "--out", str(tmp_path / "x.vsp")]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "warning:fitting 32 dimensions from only 12 embeddings; "
+            "eigenvalues beyond the sample rank will be zero\n"
+        )
+        assert captured.out.splitlines()[0] == "n=12 dim=32"
+        assert captured.out.splitlines()[2] == "eigenvalues_bottom5=0,0,0,0,0"
+
     def test_non_utf8_id_is_one_data_line(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_bytes(b"utt_id,spk_id,d1\nu1,a,1\n\xff\xfe,a,2\n")
@@ -111,6 +130,31 @@ class TestFit:
         err = capsys.readouterr().err
         assert err.startswith("error:data:") and err.count("\n") == 1
         assert "byte offset 24" in err
+
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize("message", [
+        "Unable to allocate 46.6 TiB for an array with shape (6400000000000,)", "",
+    ])
+    @pytest.mark.parametrize("command", ["synth", "fit"])
+    def test_one_data_line(self, workdir, monkeypatch, capsys, command, message):
+        # stand-ins: a real allocation that large would page on a host that
+        # overcommits memory instead of failing
+        def exhausted(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr("varispace.cli.generate", exhausted)
+        monkeypatch.setattr("varispace.cli.fit", exhausted)
+        argv = {
+            "synth": ["synth", "--config", str(workdir / "pop.cfg")],
+            "fit": ["fit", "--embeddings", str(workdir / "emb.csv")],
+        }[command]
+        capsys.readouterr()
+        assert main(argv + ["--out", str(workdir / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error:data:out of memory: {message or 'allocation failed'}\n"
+        assert not (workdir / "out").exists()
 
 
 class TestSpectrum:

@@ -3,8 +3,10 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import deltas_to_eigenvalues, plant_deltas, scan_turning
+from helpers import deltas_to_eigenvalues, plant_deltas, scan_turning, turning_flags
 from varispace import (
     DataError,
     DeltaSpectrum,
@@ -235,15 +237,61 @@ class TestDetectTurning:
                 all(abs(values[j]) <= abs(values[j + 1]) for j in range(t, len(values) - 1))
                 for t in range(len(values))
             ]
-            assert [c.tail_monotone for c in result.trace] == expected
+            assert result.tail_monotone.tolist() == expected
 
     def test_trace_covers_all_candidates(self):
         values = plant_deltas(np.random.default_rng(48), 30, 15, 5, 0.05)
         result = detect_turning(
             DeltaSpectrum(values=values, floor_epsilon=1e-12), window=5, oscillation_tol=0.05
         )
-        assert [c.index for c in result.trace] == list(range(1, 31))
-        assert result.trace[14].accepted
+        for flags in (result.tail_monotone, result.window_stable, result.breaks_out):
+            assert flags.shape == (30,) and flags.dtype == bool and not flags.flags.writeable
+        assert result.tail_monotone[14] and result.window_stable[14] and result.breaks_out[14]
+
+
+# any value, a few exact quarters (so neighbours tie) and exact decimals
+delta_values = st.one_of(
+    st.floats(-2.0, 2.0),
+    st.integers(-8, 8).map(lambda k: k / 4),
+    st.integers(-20, 20).map(lambda k: k / 10),
+)
+
+
+@st.composite
+def turning_cases(draw):
+    window = draw(st.integers(1, 15))
+    tol = draw(st.one_of(st.sampled_from([0.05, 0.1, 0.25, 0.5]), st.floats(0.01, 0.6)))
+    if draw(st.booleans()):
+        values = draw(st.lists(delta_values, min_size=window + 2, max_size=300))
+    else:
+        length = draw(st.integers(window + 2, 300))
+        knee = draw(st.integers(window + 1, length - 1))
+        seed = draw(st.integers(0, 2**32))
+        values = plant_deltas(np.random.default_rng(seed), length, knee, window, tol).tolist()
+    return values, window, tol
+
+
+class TestTurningFlagsOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(case=turning_cases())
+    def test_flags_equal_one_candidate_at_a_time(self, case):
+        values, window, tol = case
+        result = detect_turning(
+            DeltaSpectrum(values=np.array(values), floor_epsilon=1e-12),
+            window=window,
+            oscillation_tol=tol,
+        )
+        tail, stable, breaks, spreads, distances = turning_flags(values, window, tol)
+        # away from the tolerance, rounding cannot flip a check
+        clear = [abs(s - tol) > 1e-12 and abs(d - tol) > 1e-12
+                 for s, d in zip(spreads, distances)]
+        assert result.tail_monotone.tolist() == tail
+        for got, expected in ((result.window_stable, stable), (result.breaks_out, breaks)):
+            assert [g for g, c in zip(got.tolist(), clear) if c] == [
+                e for e, c in zip(expected, clear) if c
+            ]
+        if all(clear):
+            assert (result.index, result.weak) == scan_turning(values, window, tol)
 
 
 class TestSpaceSerialization:

@@ -218,6 +218,24 @@ class TestModifyBatch:
             assert np.max(np.abs(out.vectors[i] - single)) <= 1e-12
             assert reports.removed_energy[i] == report.removed_energy
 
+    @pytest.mark.parametrize("size", [0, 3])
+    def test_result_shares_lookups_not_vectors(self, size):
+        rng = np.random.default_rng(72)
+        space = _fitted_space(rng, 6)
+        batch = self._batch(rng, 9, 6)
+        out = modify_batch(space, batch, SubspaceSpec(2, size, "+"))
+        assert not out.vectors.flags.writeable
+        assert not np.shares_memory(out.vectors, batch.vectors)
+        assert (out.utt_ids, out.spk_ids) == (batch.utt_ids, batch.spk_ids)
+        assert out.speakers() == batch.speakers()
+        names = list(batch.utt_ids) + ["nope"]
+        assert [out.row(u) for u in batch.utt_ids] == list(range(9))
+        assert out.rows_of(names).tolist() == batch.rows_of(names).tolist()
+        for spk in batch.speakers() + ("nope",):
+            assert out.speaker_rows(spk).tolist() == batch.speaker_rows(spk).tolist()
+        with pytest.raises(DataError):
+            out.row("nope")
+
     def test_failure_names_utterance(self):
         rng = np.random.default_rng(71)
         space = _fitted_space(rng, 4)
