@@ -48,11 +48,10 @@ from .space import (
     write_spectrum_csv,
 )
 from .subspace import (
-    ModificationReport,
     SubspaceSpec,
     modify,
     modify_batch,
-    modify_batch_with_reports,
+    modify_batch_with_energy,
     parse_spec,
     resolve_indices,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "EerResult",
     "EmbeddingSet",
     "FormatError",
-    "ModificationReport",
     "NumericalError",
     "PopulationConfig",
     "ScoredTrials",
@@ -104,7 +102,7 @@ __all__ = [
     "make_trials",
     "modify",
     "modify_batch",
-    "modify_batch_with_reports",
+    "modify_batch_with_energy",
     "parse_population_config",
     "parse_spec",
     "project",

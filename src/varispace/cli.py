@@ -19,6 +19,7 @@ from .embeddings import detect_format, load_embeddings, load_trials, save_embedd
 from .errors import DataError, NumericalError
 from .linalg import check_finite
 from .scoring import (
+    SWEEP_FAMILIES,
     build_enrollment,
     compute_eer,
     run_sweep,
@@ -33,7 +34,7 @@ from .space import (
     save_space,
     write_spectrum_csv,
 )
-from .subspace import modify_batch_with_reports, parse_spec
+from .subspace import modify_batch_with_energy, parse_spec
 from .synth import generate, load_population_config
 
 
@@ -105,9 +106,9 @@ def _cmd_modify(args) -> int:
     space = load_space(args.space)
     spec = parse_spec(args.spec)
     embeddings = load_embeddings(args.embeddings)
-    modified, report = modify_batch_with_reports(space, embeddings, spec)
+    modified, removed = modify_batch_with_energy(space, embeddings, spec)
     with np.errstate(over="ignore"):
-        mean_removed = float(np.mean(report.removed_energy))
+        mean_removed = float(np.mean(removed))
     check_finite("mean removed energy overflows float64", mean_removed)
     out_format = args.format if args.format != "auto" else detect_format(args.embeddings)
     save_embeddings(modified, args.out, format=out_format)
@@ -217,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", required=True)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--trials", required=True)
-    p.add_argument("--family", required=True, choices=["primary", "secondary", "residual"])
+    p.add_argument("--family", required=True, choices=SWEEP_FAMILIES)
     p.add_argument(
         "--is",
         dest="turning",

@@ -41,6 +41,8 @@ class EmbeddingSet:
             raise DataError("id lists and vector rows disagree in length")
         row_of, speaker_rows = {}, {}
         for i, (utt, spk) in enumerate(zip(utt_ids, spk_ids)):
+            if not (isinstance(utt, str) and isinstance(spk, str)):
+                raise DataError(f"row {i}: ids must be strings, got {utt!r} and {spk!r}")
             if not utt:
                 raise DataError("empty utterance id")
             if not spk:
@@ -66,13 +68,6 @@ class EmbeddingSet:
     @property
     def dim(self) -> int:
         return self.vectors.shape[1]
-
-    def row(self, utt_id: str) -> int:
-        """Row index of an utterance."""
-        row = self._row_of.get(utt_id)
-        if row is None:
-            raise DataError(f"unknown utterance id '{utt_id}'")
-        return row
 
     def rows_of(self, utt_ids: Iterable[str]) -> np.ndarray:
         """Row index of each utterance, in order; -1 for an unknown id."""

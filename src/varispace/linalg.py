@@ -7,12 +7,23 @@ are pure; returned arrays never alias their inputs.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import DataError, NumericalError
 
 # Relative asymmetry accepted by eig_sym before a matrix is rejected.
 SYMMETRY_RTOL = 1e-9
+
+
+def as_int(value, name: str) -> int:
+    """An integer argument as an int. Anything else, a float or a numeric
+    string included, raises DataError rather than being truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DataError(f"{name} must be an integer, got {value!r}") from None
 
 
 def as_vector(values, name: str = "vector") -> np.ndarray:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .embeddings import EmbeddingSet, TrialList, open_text
 from .errors import DataError, FormatError, NumericalError
-from .linalg import as_vector, check_finite
+from .linalg import as_int, as_vector, check_finite
 from .space import VariabilitySpace
 from .subspace import BACKWARD, FORWARD, SubspaceSpec, resolve_indices
 
@@ -199,6 +199,10 @@ class SweepRow:
     n_target: int
     n_nontarget: int
 
+    def __post_init__(self):
+        for name in ("start", "size", "n_target", "n_nontarget"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
+
 
 @dataclass(frozen=True)
 class SweepResult:
@@ -237,11 +241,12 @@ def run_sweep(
     if family == "secondary":
         if turning_dim is None:
             raise DataError("secondary-family sweeps require the turning dimension")
+        turning_dim = as_int(turning_dim, "turning dimension")
         if not 1 <= turning_dim <= space.dim:
             raise DataError(
                 f"turning dimension {turning_dim} outside [1, {space.dim}]"
             )
-    sizes = [int(k) for k in k_values]
+    sizes = [as_int(k, "sweep size") for k in k_values]
     if not sizes:
         raise DataError("sweep needs at least one size")
     start, direction = {

@@ -19,7 +19,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .embeddings import EmbeddingSet, open_text
 from .errors import DataError, FormatError
-from .linalg import as_matrix, as_vector, check_finite, covariance, eig_sym
+from .linalg import as_int, as_matrix, as_vector, check_finite, covariance, eig_sym
 
 SPACE_MAGIC = b"VSP1"
 SPACE_VERSION = 1
@@ -193,6 +193,7 @@ def detect_turning(
     ``weak`` flag set. The result is a candidate only and callers must allow
     a manual override.
     """
+    window = as_int(window, "window")
     if window < 1:
         raise DataError("window must be >= 1")
     if not oscillation_tol > 0.0:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .embeddings import EmbeddingSet
 from .errors import DataError
-from .linalg import as_vector, check_finite
+from .linalg import as_int, as_vector, check_finite
 from .space import VariabilitySpace
 
 FORWARD = "+"
@@ -23,6 +23,7 @@ BACKWARD = "-"
 FAMILIES = ("primary", "secondary", "residual", "custom")
 
 _SPEC_GRAMMAR = "[family:]<start>:<size>:<+|->"
+_ENERGY_OVERFLOW = "removed energy overflows float64"
 
 
 @dataclass(frozen=True)
@@ -36,6 +37,8 @@ class SubspaceSpec:
     family: str = "custom"
 
     def __post_init__(self):
+        object.__setattr__(self, "start", as_int(self.start, "subspace start"))
+        object.__setattr__(self, "size", as_int(self.size, "subspace size"))
         if self.start < 1:
             raise DataError(f"subspace start must be >= 1, got {self.start}")
         if self.size < 0:
@@ -78,6 +81,7 @@ def resolve_indices(spec: SubspaceSpec, dim: int) -> tuple[int, ...]:
     Forward spans cover start..start+size-1, backward spans
     start-size+1..start. Empty for size 0.
     """
+    dim = as_int(dim, "dimension")
     if dim < 1:
         raise DataError(f"dimension must be >= 1, got {dim}")
     if spec.start > dim:
@@ -103,36 +107,16 @@ def resolve_indices(spec: SubspaceSpec, dim: int) -> tuple[int, ...]:
     return tuple(range(first, last + 1))
 
 
-@dataclass(frozen=True)
-class ModificationReport:
-    """What a modification removed: the zeroed 1-based indices, the
-    coefficient energy taken out, and the embedding norms before/after.
-    Floats from :func:`modify`; per-row vectors from
-    :func:`modify_batch_with_reports`. A non-finite energy or norm, which
-    only overflow of finite embeddings gives, raises NumericalError."""
-
-    zeroed_indices: tuple[int, ...]
-    removed_energy: float | np.ndarray
-    original_norm: float | np.ndarray
-    modified_norm: float | np.ndarray
-
-    def __post_init__(self):
-        fields = (self.removed_energy, self.original_norm, self.modified_norm)
-        check_finite("removed energy or embedding norm overflows float64", *fields)
-
-
-# Finite inputs can overflow float64 in the products and norms below; the
-# kernel and ModificationReport reject the non-finite results.
+# Finite inputs can overflow float64 in the products below; the kernel rejects
+# non-finite rows, and modify and modify_batch_with_energy non-finite energies.
 @np.errstate(over="ignore", invalid="ignore")
 def _remove_block(
     space: VariabilitySpace, rows: np.ndarray, indices: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
     """The one modification kernel: ``rows - (rows B_S) B_S^T`` for an (N, D)
     matrix, where ``B_S`` holds the basis columns at ``indices``. Returns the
-    modified rows and each row's removed energy (inf if it overflows).
-    Size-0 blocks copy."""
-    if not indices:
-        return rows.copy(), np.zeros(len(rows))
+    modified rows and each row's removed energy (inf if it overflows). An
+    empty block subtracts exact zeros, which returns the rows bit for bit."""
     block = space.basis[:, [i - 1 for i in indices]]
     # einsum sums each coefficient in the same order whatever the row count
     # (a matmul would switch between gemv and gemm), so a one-row call
@@ -144,50 +128,38 @@ def _remove_block(
     return modified, np.einsum("nk,nk->n", coeff, coeff)
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def modify(
-    space: VariabilitySpace, x, spec: SubspaceSpec
-) -> tuple[np.ndarray, ModificationReport]:
+def modify(space: VariabilitySpace, x, spec: SubspaceSpec) -> tuple[np.ndarray, float]:
     """Zero the spec's coefficients of ``x`` in the variability basis: a
     one-row call of the batch kernel behind :func:`modify_batch`.
 
-    Returns the modified embedding, not re-normalized, and a report. A
-    size-0 spec returns an exact copy of the input (no projection round-trip).
+    Returns the modified embedding, not re-normalized, and the coefficient
+    energy removed. A size-0 spec returns an exact copy of the input.
     """
     indices = resolve_indices(spec, space.dim)
     vec = as_vector(x, "embedding")
     if vec.size != space.dim:
         raise DataError(f"embedding dimension {vec.size} != space dimension {space.dim}")
     rows, removed = _remove_block(space, vec[np.newaxis], indices)
-    return rows[0], ModificationReport(
-        zeroed_indices=indices,
-        removed_energy=float(removed[0]),
-        original_norm=float(np.linalg.norm(vec)),
-        modified_norm=float(np.linalg.norm(rows[0])),
-    )
+    check_finite(_ENERGY_OVERFLOW, removed)
+    return rows[0], float(removed[0])
 
 
 def modify_batch(
     space: VariabilitySpace, embeddings: EmbeddingSet, spec: SubspaceSpec
 ) -> EmbeddingSet:
     """:func:`modify` applied to every row of a set at once; ids and order
-    are preserved."""
+    are preserved. Only an overflowing modified row raises."""
     return _modify_set(space, embeddings, spec)[0]
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def modify_batch_with_reports(
+def modify_batch_with_energy(
     space: VariabilitySpace, embeddings: EmbeddingSet, spec: SubspaceSpec
-) -> tuple[EmbeddingSet, ModificationReport]:
-    """:func:`modify_batch` plus one report whose energy and norm fields are
-    per-row vectors."""
+) -> tuple[EmbeddingSet, np.ndarray]:
+    """:func:`modify_batch` plus each row's removed energy, which raises
+    NumericalError if it overflows float64."""
     modified, removed = _modify_set(space, embeddings, spec)
-    return modified, ModificationReport(
-        zeroed_indices=resolve_indices(spec, space.dim),
-        removed_energy=removed,
-        original_norm=np.linalg.norm(embeddings.vectors, axis=1),
-        modified_norm=np.linalg.norm(modified.vectors, axis=1),
-    )
+    check_finite(_ENERGY_OVERFLOW, removed)
+    return modified, removed
 
 
 def _modify_set(space, embeddings, spec) -> tuple[EmbeddingSet, np.ndarray]:

@@ -9,6 +9,7 @@ import numpy as np
 
 from .embeddings import EmbeddingSet, Trial, TrialList, open_text
 from .errors import DataError, NumericalError
+from .linalg import as_int
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -22,13 +23,15 @@ class CounterRng:
     same byte stream on every run, independent of draw batching."""
 
     def __init__(self, seed: int):
-        if not 0 <= int(seed) <= _MASK64:
+        seed = as_int(seed, "seed")
+        if not 0 <= seed <= _MASK64:
             raise DataError(f"seed must be an unsigned 64-bit integer, got {seed}")
-        self._seed = np.uint64(int(seed))
+        self._seed = np.uint64(seed)
         self._drawn = 0
 
     def raw(self, n: int) -> np.ndarray:
         """Next ``n`` raw 64-bit words."""
+        n = as_int(n, "draw count")
         if n < 0:
             raise DataError("draw count must be >= 0")
         start = self._drawn
@@ -70,13 +73,15 @@ class PopulationConfig:
     seed: int
 
     def __post_init__(self):
+        for name in ("n_speakers", "utts_per_speaker", "dim", "seed"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
         if self.n_speakers < 1:
             raise DataError(f"n_speakers must be >= 1, got {self.n_speakers}")
         if self.utts_per_speaker < 1:
             raise DataError(f"utts_per_speaker must be >= 1, got {self.utts_per_speaker}")
         if self.dim < 1:
             raise DataError(f"dim must be >= 1, got {self.dim}")
-        if not 0 <= int(self.seed) <= _MASK64:
+        if not 0 <= self.seed <= _MASK64:
             raise DataError("seed must be an unsigned 64-bit integer")
         for name in ("between_variances", "within_variances"):
             arr = np.asarray(getattr(self, name), dtype=np.float64)
@@ -200,6 +205,7 @@ def make_trials(embeddings: EmbeddingSet, n_nontarget: int, seed: int) -> TrialL
     ``n_nontarget`` seeded cross-speaker pairs, drawn in batches that give the
     same pairs as one-at-a-time rejection sampling. Desk-scale stand-in for a
     published trial protocol."""
+    n_nontarget = as_int(n_nontarget, "nontarget count")
     if n_nontarget < 1:
         raise DataError("need at least one nontarget trial")
     speakers = embeddings.speakers()

@@ -125,7 +125,7 @@ def test_round_trip_and_energy_identities():
 
             assert np.max(np.abs(reconstruct(space, project(space, x)) - x)) <= 1e-9
 
-            once, report = modify(space, x, spec)
+            once, removed_energy = modify(space, x, spec)
             twice, _ = modify(space, once, spec)
             assert np.max(np.abs(twice - once)) <= 1e-9
 
@@ -133,7 +133,7 @@ def test_round_trip_and_energy_identities():
             # relative to the norm scale: the subtraction itself carries an
             # unavoidable cancellation error of order eps * |x|^2
             tol = 1e-9 * max(1.0, float(np.linalg.norm(x)) ** 2)
-            assert abs(removed - report.removed_energy) <= tol
+            assert abs(removed - removed_energy) <= tol
 
 
 def test_eer_oracle_equivalence():

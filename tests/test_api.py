@@ -1,0 +1,92 @@
+"""The package's public surface: its exports, and the integer arguments
+that reject non-integers instead of truncating or failing inside numpy."""
+
+import inspect
+
+import numpy as np
+import pytest
+
+import varispace
+from varispace import (
+    CounterRng,
+    DataError,
+    EmbeddingSet,
+    PopulationConfig,
+    SubspaceSpec,
+    SweepRow,
+    Trial,
+    TrialList,
+    delta_spectrum,
+    detect_turning,
+    fit,
+    make_trials,
+    resolve_indices,
+    run_sweep,
+)
+
+
+def test_every_export_resolves():
+    for name in varispace.__all__:
+        assert hasattr(varispace, name), name
+    assert len(set(varispace.__all__)) == len(varispace.__all__)
+
+
+def test_every_imported_public_name_is_exported():
+    imported = {
+        name
+        for name, value in vars(varispace).items()
+        if not name.startswith("_")
+        and (inspect.isclass(value) or inspect.isfunction(value))
+        and value.__module__.startswith("varispace.")
+    }
+    assert imported - set(varispace.__all__) == set()
+
+
+def _population():
+    rng = np.random.default_rng(5)
+    n, d = 24, 6
+    emb = EmbeddingSet(
+        [f"u{i}" for i in range(n)], [f"s{i % 4}" for i in range(n)], rng.standard_normal((n, d))
+    )
+    trials = TrialList((Trial("s0", "u0", True), Trial("s1", "u0", False)))
+    return emb, fit(emb), trials
+
+
+def _config(**changes):
+    fields = dict(n_speakers=2, utts_per_speaker=2, dim=2, between_variances=[1.0, 1.0],
+                  within_variances=[0.1, 0.1], seed=1)
+    return PopulationConfig(**{**fields, **changes})
+
+
+EMB, SPACE, TRIALS = _population()
+
+NON_INTEGER_CALLS = {
+    "run_sweep-k": lambda: run_sweep(SPACE, EMB, TRIALS, "primary", [1.7]),
+    "run_sweep-turning": lambda: run_sweep(SPACE, EMB, TRIALS, "secondary", [1], turning_dim=2.5),
+    "spec-start-float": lambda: SubspaceSpec(1.5, 1, "+"),
+    "spec-start-str": lambda: SubspaceSpec("1", 1, "+"),
+    "spec-size-float": lambda: SubspaceSpec(1, 1.0, "+"),
+    "resolve-dim": lambda: resolve_indices(SubspaceSpec(1, 1, "+"), 6.0),
+    "make_trials-count": lambda: make_trials(EMB, 2.5, seed=1),
+    "make_trials-seed": lambda: make_trials(EMB, 2, seed=1.5),
+    "detect_turning-window": lambda: detect_turning(delta_spectrum(SPACE), window=2.5),
+    "rng-seed": lambda: CounterRng("7"),
+    "rng-draws": lambda: CounterRng(7).raw(2.5),
+    "config-n_speakers": lambda: _config(n_speakers=2.0),
+    "config-seed": lambda: _config(seed=1.5),
+    "sweep_row-size": lambda: SweepRow("primary", 1, 2.5, "+", 10.0, 3, 4),
+}
+
+
+@pytest.mark.parametrize("call", NON_INTEGER_CALLS.values(), ids=NON_INTEGER_CALLS.keys())
+def test_non_integer_argument_is_a_data_error(call):
+    with pytest.raises(DataError, match="must be an integer, got"):
+        call()
+
+
+def test_numpy_integers_are_integers():
+    spec = SubspaceSpec(np.int64(2), np.uint8(1), "+")
+    assert (type(spec.start), type(spec.size)) == (int, int)
+    assert resolve_indices(spec, np.int32(6)) == (2,)
+    rows = run_sweep(SPACE, EMB, TRIALS, "primary", np.arange(2)).rows
+    assert [(type(row.size), row.size) for row in rows] == [(int, 0), (int, 1)]

@@ -36,7 +36,7 @@ class TestEmbeddingSet:
         assert emb.speakers() == ("spk0", "spk1", "spk2")
         assert emb.speaker_rows("spk1").tolist() == [1, 4]
         assert emb.speaker_rows("nobody").size == 0
-        assert emb.row("utt03") == 3
+        assert emb.rows_of(["utt03"]).tolist() == [3]
 
     def test_rows_of_marks_unknown_ids(self):
         emb = _sample_set(np.random.default_rng(0))
@@ -50,6 +50,15 @@ class TestEmbeddingSet:
             EmbeddingSet(("a", "a"), ("s", "s"), np.zeros((2, 2)))
         assert "'a'" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "utt_ids, spk_ids, row",
+        [(["a", "b"], [1, 2], 0), (["a", 7], ["s", "s"], 1), (["a", b"b"], ["s", "s"], 1)],
+    )
+    def test_non_string_ids_rejected(self, utt_ids, spk_ids, row):
+        # every format writes ids as text, so the set accepts only strings
+        with pytest.raises(DataError, match=f"row {row}: ids must be strings"):
+            EmbeddingSet(utt_ids, spk_ids, np.zeros((2, 2)))
+
     def test_non_finite_rejected(self):
         with pytest.raises(DataError):
             EmbeddingSet(("a", "b"), ("s", "s"), np.array([[1.0, np.inf], [0.0, 1.0]]))
@@ -62,11 +71,6 @@ class TestEmbeddingSet:
         emb = _sample_set(np.random.default_rng(1))
         with pytest.raises(ValueError):
             emb.vectors[0, 0] = 5.0
-
-    def test_unknown_utterance(self):
-        emb = _sample_set(np.random.default_rng(2))
-        with pytest.raises(DataError):
-            emb.vectors[emb.row("nope")]
 
 
 class TestCsvFormat:

@@ -108,9 +108,9 @@ class TestScoreTrials:
             )
         )
         scored = score_trials(models, emb, trials)
-        for i, t in enumerate(trials):
-            expected = cosine(models[t.enroll_speaker], emb.vectors[emb.row(t.test_utterance)])
-            assert scored.scores[i] == expected
+        rows = emb.rows_of(t.test_utterance for t in trials)
+        for i, (t, r) in enumerate(zip(trials, rows)):
+            assert scored.scores[i] == cosine(models[t.enroll_speaker], emb.vectors[r])
 
     def test_scores_across_chunks_match_per_pair_cosine(self):
         # more trials than one scoring chunk holds
@@ -123,10 +123,8 @@ class TestScoreTrials:
             for i in range(9000)
         ))
         scored = score_trials(models, emb, trials)
-        expected = [
-            cosine(models[t.enroll_speaker], emb.vectors[emb.row(t.test_utterance)])
-            for t in trials
-        ]
+        rows = emb.rows_of(t.test_utterance for t in trials)
+        expected = [cosine(models[t.enroll_speaker], emb.vectors[r]) for t, r in zip(trials, rows)]
         assert scored.scores.tolist() == expected
         assert scored.labels.tolist() == [t.target for t in trials]
 

@@ -70,7 +70,8 @@ def test_one_kept_dimension_scores_by_sign(family, kept, population):
     space, emb, trials = population
     coeff = emb.vectors @ space.basis[:, kept]
     model = {s: coeff[emb.speaker_rows(s)].mean() for s in emb.speakers()}
-    scores = [np.sign(model[t.enroll_speaker] * coeff[emb.row(t.test_utterance)]) for t in trials]
+    rows = emb.rows_of(t.test_utterance for t in trials)
+    scores = [np.sign(model[t.enroll_speaker] * coeff[r]) for t, r in zip(trials, rows)]
     labels = [t.target for t in trials]
     expected = compute_eer(ScoredTrials(np.array(scores), np.array(labels)))
     (row,) = run_sweep(space, emb, trials, family, [space.dim - 1]).rows
