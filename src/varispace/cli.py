@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .embeddings import detect_format, load_embeddings, load_trials, save_embeddings
+from .embeddings import detect_format, format_float, load_embeddings, load_trials, save_embeddings
 from .errors import DataError, NumericalError
 from .linalg import check_finite
 from .scoring import (
@@ -45,10 +45,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"error:data:{message}\n")
 
 
-def _fmt(value: float) -> str:
-    return format(value, ".17g")
-
-
 def _parse_k_range(text: str) -> range:
     parts = text.split(":")
     if len(parts) != 3:
@@ -74,8 +70,8 @@ def _cmd_fit(args) -> int:
         print(f"warning:{_one_line(warning.message)}", file=sys.stderr)
     save_space(space, args.out)
     lam = space.eigenvalues
-    head = ",".join(_fmt(v) for v in lam[:5])
-    tail = ",".join(_fmt(v) for v in lam[-5:])
+    head = ",".join(format_float(v) for v in lam[:5])
+    tail = ",".join(format_float(v) for v in lam[-5:])
     print(f"n={len(embeddings)} dim={space.dim}")
     print(f"eigenvalues_top5={head}")
     print(f"eigenvalues_bottom5={tail}")
@@ -112,7 +108,7 @@ def _cmd_modify(args) -> int:
     check_finite("mean removed energy overflows float64", mean_removed)
     out_format = args.format if args.format != "auto" else detect_format(args.embeddings)
     save_embeddings(modified, args.out, format=out_format)
-    print(f"records={len(modified)} mean_removed_energy={_fmt(mean_removed)}")
+    print(f"records={len(modified)} mean_removed_energy={format_float(mean_removed)}")
     print(f"wrote={args.out}")
     return 0
 
@@ -125,8 +121,8 @@ def _cmd_eer(args) -> int:
     enrollments = {s: build_enrollment(enroll_set, s) for s in sorted(wanted)}
     result = compute_eer(score_trials(enrollments, test_set, trials))
     print(
-        f"eer_percent={_fmt(result.eer_percent)} "
-        f"threshold={_fmt(result.threshold_at_eer)} "
+        f"eer_percent={format_float(result.eer_percent)} "
+        f"threshold={format_float(result.threshold_at_eer)} "
         f"n_target={result.n_target} n_nontarget={result.n_nontarget}"
     )
     return 0
@@ -151,7 +147,7 @@ def _cmd_sweep(args) -> int:
     )
     write_sweep_csv(result, args.out)
     for row in result.rows:
-        print(f"family={row.family} size={row.size} eer_percent={_fmt(row.eer_percent)}")
+        print(f"family={row.family} size={row.size} eer_percent={format_float(row.eer_percent)}")
     print(f"wrote={args.out} rows={len(result.rows)}")
     return 0
 

@@ -105,6 +105,43 @@ def open_text(source, newline=None):
         raise
 
 
+def format_float(value: float) -> str:
+    """A float as text with 17 significant digits, which parses back to the
+    same float bit for bit."""
+    return format(value, ".17g")
+
+
+def write_table(destination, header, rows) -> None:
+    """Write a CSV table: the header, then one line per row. Floats are
+    written with :func:`format_float`, other values as ``str`` does."""
+    with open(destination, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(
+            [format_float(v) if isinstance(v, float) else v for v in row] for row in rows
+        )
+
+
+def read_table(source, what: str, header, converters, build=lambda *values: values) -> list:
+    """The rows of a CSV table written by :func:`write_table`, each passed
+    field by field through ``converters`` and then to ``build``. A bad header,
+    field count or value (a ValueError from a converter or ``build``) raises
+    FormatError naming ``what`` and the line."""
+    with open_text(source, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows or rows[0] != list(header):
+        raise FormatError(f"{what} CSV has a bad header")
+    parsed = []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise FormatError(f"{what} CSV line {lineno}: expected {len(header)} fields")
+        try:
+            parsed.append(build(*(convert(text) for convert, text in zip(converters, row))))
+        except ValueError as exc:
+            raise FormatError(f"{what} CSV line {lineno}: {exc}") from None
+    return parsed
+
+
 def _utf8(value: str) -> bytes:
     try:
         return value.encode("utf-8")
@@ -274,6 +311,14 @@ class TrialList:
         entries = tuple(self.entries)
         if not entries:
             raise DataError("trial list is empty")
+        for i, t in enumerate(entries, start=1):
+            if not (isinstance(t.enroll_speaker, str) and isinstance(t.test_utterance, str)):
+                raise DataError(
+                    f"trial {i}: ids must be strings, got {t.enroll_speaker!r} "
+                    f"and {t.test_utterance!r}"
+                )
+            if not isinstance(t.target, (bool, np.bool_)):
+                raise DataError(f"trial {i}: target must be a bool, got {t.target!r}")
         labels = np.fromiter((t.target for t in entries), dtype=bool, count=len(entries))
         labels.setflags(write=False)
         n_target = int(labels.sum())

@@ -4,20 +4,17 @@ sweeps that tabulate EER against the removed block size."""
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .embeddings import EmbeddingSet, TrialList, open_text
-from .errors import DataError, FormatError, NumericalError
-from .linalg import as_int, as_vector, check_finite
+from .embeddings import EmbeddingSet, TrialList, read_table, write_table
+from .errors import DataError, NumericalError
+from .linalg import as_int, as_matrix, as_vector, check_finite
 from .space import VariabilitySpace
-from .subspace import BACKWARD, FORWARD, SubspaceSpec, resolve_indices
-
-SWEEP_FAMILIES = ("primary", "secondary", "residual")
+from .subspace import BACKWARD, FORWARD, SWEEP_FAMILIES, SubspaceSpec, resolve_indices
 
 _ZERO_NORM = 1e-30
 
@@ -133,7 +130,7 @@ def score_trials(
     preserved. Unresolvable ids abort, naming the trial's source line."""
     speakers = list(enrollments)
     which, rows = _resolve_trials(trials, {s: i for i, s in enumerate(speakers)}, test_set)
-    models = np.array([enrollments[s] for s in speakers], dtype=np.float64)
+    models = as_matrix([enrollments[s] for s in speakers], "enrollment models")
     if models.shape != (len(speakers), test_set.dim):
         raise DataError(
             f"cosine dimension mismatch: models {models.shape[1:]} vs tests ({test_set.dim},)"
@@ -200,6 +197,10 @@ class SweepRow:
     n_nontarget: int
 
     def __post_init__(self):
+        if self.family not in SWEEP_FAMILIES:
+            raise DataError(f"unknown sweep family '{self.family}'")
+        if self.direction not in (FORWARD, BACKWARD):
+            raise DataError(f"sweep direction must be '+' or '-', got '{self.direction}'")
         for name in ("start", "size", "n_target", "n_nontarget"):
             object.__setattr__(self, name, as_int(getattr(self, name), name))
 
@@ -317,44 +318,9 @@ SWEEP_HEADER = ["family", "start", "size", "direction", "eer_percent", "n_target
 
 
 def write_sweep_csv(result: SweepResult, destination) -> None:
-    with open(destination, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SWEEP_HEADER)
-        for row in result.rows:
-            writer.writerow(
-                [
-                    row.family,
-                    row.start,
-                    row.size,
-                    row.direction,
-                    format(row.eer_percent, ".17g"),
-                    row.n_target,
-                    row.n_nontarget,
-                ]
-            )
+    write_table(destination, SWEEP_HEADER, map(astuple, result.rows))
 
 
 def read_sweep_csv(source) -> SweepResult:
-    with open_text(source, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != SWEEP_HEADER:
-        raise FormatError("sweep CSV has a bad header")
-    parsed = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(SWEEP_HEADER):
-            raise FormatError(f"sweep CSV line {lineno}: expected {len(SWEEP_HEADER)} fields")
-        try:
-            parsed.append(
-                SweepRow(
-                    family=row[0],
-                    start=int(row[1]),
-                    size=int(row[2]),
-                    direction=row[3],
-                    eer_percent=float(row[4]),
-                    n_target=int(row[5]),
-                    n_nontarget=int(row[6]),
-                )
-            )
-        except ValueError as exc:
-            raise FormatError(f"sweep CSV line {lineno}: {exc}") from None
-    return SweepResult(rows=tuple(parsed))
+    converters = (str, int, int, str, float, int, int)
+    return SweepResult(rows=tuple(read_table(source, "sweep", SWEEP_HEADER, converters, SweepRow)))

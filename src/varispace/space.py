@@ -9,7 +9,6 @@ turning-point (knee) detection for choosing modification subspaces.
 
 from __future__ import annotations
 
-import csv
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -17,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .embeddings import EmbeddingSet, open_text
+from .embeddings import EmbeddingSet, read_table, write_table
 from .errors import DataError, FormatError
 from .linalg import as_int, as_matrix, as_vector, check_finite, covariance, eig_sym
 
@@ -152,9 +151,10 @@ def reconstruct(space: VariabilitySpace, coefficients) -> np.ndarray:
 
 def floor_epsilon(eigenvalues: np.ndarray) -> float:
     """Eigenvalue floor applied before taking logarithms: 1e-12 times the
-    largest eigenvalue, or 1e-300 for an all-zero spectrum."""
-    top = float(eigenvalues[0])
-    return 1e-12 * top if top > 0.0 else 1e-300
+    largest eigenvalue, or 1e-300 where that product is zero (an all-zero
+    spectrum, or a largest eigenvalue so small that the product underflows)."""
+    floor = 1e-12 * float(eigenvalues[0])
+    return floor if floor > 0.0 else 1e-300
 
 
 def log_spectrum(space: VariabilitySpace) -> np.ndarray:
@@ -262,44 +262,26 @@ def load_space(source) -> VariabilitySpace:
     )
 
 
+SPECTRUM_HEADER = ["index", "log_eigenvalue", "delta"]
+
+
 def write_spectrum_csv(space: VariabilitySpace, destination) -> None:
     """Emit the plotting CSV: one row per dimension with the log-eigenvalue
     and the delta to the next dimension (empty on the last row)."""
     logs = log_spectrum(space)
-    deltas = np.diff(logs)
-    with open(destination, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["index", "log_eigenvalue", "delta"])
-        for i, value in enumerate(logs, start=1):
-            delta = format(deltas[i - 1], ".17g") if i - 1 < deltas.size else ""
-            writer.writerow([i, format(value, ".17g"), delta])
+    deltas = [*np.diff(logs), ""]
+    write_table(destination, SPECTRUM_HEADER, zip(range(1, logs.size + 1), logs, deltas))
 
 
 def read_spectrum_csv(source) -> tuple[np.ndarray, np.ndarray]:
     """Parse a spectrum CSV back into (log_eigenvalues, deltas)."""
-    with open_text(source, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != ["index", "log_eigenvalue", "delta"]:
-        raise FormatError("spectrum CSV has a bad header")
-    body = rows[1:]
-    logs = []
-    deltas = []
-    for lineno, row in enumerate(body, start=2):
-        if len(row) != 3:
-            raise FormatError(f"spectrum CSV line {lineno}: expected 3 fields")
-        try:
-            index, log_value = int(row[0]), float(row[1])
-            delta = float(row[2]) if row[2] != "" else None
-        except ValueError as exc:
-            raise FormatError(f"spectrum CSV line {lineno}: {exc}") from None
-        if index != lineno - 1:
-            raise FormatError(f"spectrum CSV line {lineno}: index out of order")
-        logs.append(log_value)
-        last = lineno - 1 == len(body)
-        if last != (delta is None):
+    converters = (int, float, lambda text: float(text) if text else None)
+    rows = read_table(source, "spectrum", SPECTRUM_HEADER, converters)
+    for index, (written, _, delta) in enumerate(rows, start=1):
+        if written != index:
+            raise FormatError(f"spectrum CSV line {index + 1}: index out of order")
+        if (index == len(rows)) != (delta is None):
             raise FormatError(
-                f"spectrum CSV line {lineno}: delta must be empty on the last row only"
+                f"spectrum CSV line {index + 1}: delta must be empty on the last row only"
             )
-        if not last:
-            deltas.append(delta)
-    return np.array(logs), np.array(deltas)
+    return np.array([row[1] for row in rows]), np.array([row[2] for row in rows[:-1]])

@@ -20,7 +20,8 @@ from .space import VariabilitySpace
 
 FORWARD = "+"
 BACKWARD = "-"
-FAMILIES = ("primary", "secondary", "residual", "custom")
+SWEEP_FAMILIES = ("primary", "secondary", "residual")
+FAMILIES = (*SWEEP_FAMILIES, "custom")
 
 _SPEC_GRAMMAR = "[family:]<start>:<size>:<+|->"
 _ENERGY_OVERFLOW = "removed energy overflows float64"

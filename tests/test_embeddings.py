@@ -362,6 +362,22 @@ class TestTrials:
         assert vars(trials)["n_target"] == trials.n_target == 1
         assert vars(trials)["n_nontarget"] == trials.n_nontarget == 2
 
+    @pytest.mark.parametrize(
+        "trial, message",
+        [
+            (Trial("a", "u", "nontarget"), "trial 2: target must be a bool, got 'nontarget'"),
+            (Trial("a", "u", 1), "trial 2: target must be a bool, got 1"),
+            (Trial(1, "u", True), "trial 2: ids must be strings, got 1 and 'u'"),
+            (Trial("a", b"u", False), "trial 2: ids must be strings, got 'a' and b'u'"),
+        ],
+    )
+    def test_rejects_non_string_ids_and_non_bool_targets(self, trial, message):
+        # a numpy bool is a bool; the second trial is named by its position
+        with pytest.raises(DataError) as err:
+            TrialList((Trial("a", "u", np.True_), trial))
+        assert str(err.value) == message
+        assert TrialList((Trial("a", "u", np.True_), Trial("a", "v", False))).n_target == 1
+
     def test_unicode_ids_round_trip(self, tmp_path):
         trials = TrialList((Trial("спикер", "码u1", True), Trial("s,2", "u\"2", False)))
         path = tmp_path / "trials.txt"

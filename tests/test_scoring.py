@@ -161,6 +161,28 @@ class TestScoreTrials:
             score_trials({"a": np.array([1.0, 0.0])}, emb, trials)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize(
+        "models, message",
+        [
+            ({"a": [1.0, 0.0], "b": [1.0]}, "enrollment models is not a numeric matrix"),
+            ({"a": ["x", 0.0], "b": [1.0, 0.0]}, "enrollment models is not a numeric matrix"),
+            ({"a": [np.nan, 0.0], "b": [1.0, 0.0]}, "enrollment models contains a non-finite"),
+        ],
+        ids=["ragged", "non-numeric", "nan"],
+    )
+    @pytest.mark.parametrize("unknown_speaker", [False, True])
+    def test_bad_models_are_data_errors(self, models, message, unknown_speaker):
+        emb = _set(["u1", "u2"], ["a", "b"], [[1.0, 0.0], [0.0, 1.0]])
+        trials = [Trial("a", "u1", True), Trial("b", "u1", False)]
+        if unknown_speaker:
+            # resolving the trials comes first, so the unknown speaker is named
+            trials.append(Trial("z", "u2", False, line=7))
+            message = "trial 7: no enrollment for speaker 'z'"
+        with pytest.raises(DataError) as err:
+            score_trials(models, emb, TrialList(tuple(trials)))
+        assert type(err.value) is DataError
+        assert str(err.value).startswith(message)
+
 
 def _scored(targets, nontargets):
     scores = np.array(list(targets) + list(nontargets), dtype=float)

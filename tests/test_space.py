@@ -24,6 +24,7 @@ from varispace import (
     save_space,
     write_spectrum_csv,
 )
+from varispace.space import floor_epsilon
 
 
 def _set_from_rows(rows, spk="s"):
@@ -133,6 +134,13 @@ class TestSpectra:
     def test_all_zero_spectrum_finite(self):
         space = fit(_set_from_rows([[1.0, 1.0]] * 3))
         assert np.all(np.isfinite(log_spectrum(space)))
+
+    @pytest.mark.parametrize("top", [5e-324, 1e-315])
+    def test_underflowing_floor_falls_back(self, top):
+        # 1e-12 * top underflows to 0.0, and log(0.0) is -inf
+        space = _space_with_eigenvalues([top, 0.0])
+        assert floor_epsilon(space.eigenvalues) == 1e-300
+        assert np.array_equal(log_spectrum(space), np.full(2, math.log(1e-300)))
 
     def test_delta_direct_subtraction(self):
         space = _space_with_eigenvalues([math.e**4, math.e**2, math.e])

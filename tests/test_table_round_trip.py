@@ -1,0 +1,108 @@
+"""Round-trip properties of the spectrum and sweep CSVs, through the public
+writers and readers: valid sweep rows and the spectra of random spaces read
+back unchanged, floats bit for bit (``-0.0`` stays negative, subnormals and
+the largest double survive)."""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from varispace import (
+    DataError,
+    FormatError,
+    SweepResult,
+    SweepRow,
+    VariabilitySpace,
+    log_spectrum,
+    read_spectrum_csv,
+    read_sweep_csv,
+    write_spectrum_csv,
+    write_sweep_csv,
+)
+from varispace.scoring import SWEEP_FAMILIES
+
+PROPERTY = settings(
+    max_examples=80,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+EDGE_FLOATS = (5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, -0.0, 0.0)
+finite = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+count = st.integers(min_value=0)
+
+sweep_rows = st.builds(
+    SweepRow,
+    family=st.sampled_from(SWEEP_FAMILIES),
+    start=count,
+    size=count,
+    direction=st.sampled_from("+-"),
+    eer_percent=finite,
+    n_target=count,
+    n_nontarget=count,
+)
+
+
+@PROPERTY
+@given(rows=st.lists(sweep_rows, max_size=6))
+def test_sweep_rows_read_back_bit_for_bit(tmp_path, rows):
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(SweepResult(rows=tuple(rows)), path)
+    loaded = read_sweep_csv(path).rows
+    assert loaded == tuple(rows)
+    assert [r.eer_percent.hex() for r in loaded] == [r.eer_percent.hex() for r in rows]
+
+
+@st.composite
+def spaces(draw):
+    """A space with drawn eigenvalues (zeros, subnormals and up to 1e300, so
+    the log floor and the extremes are reached) and a seeded random basis."""
+    d = draw(st.integers(1, 8))
+    eigenvalues = draw(
+        st.lists(
+            st.one_of(st.sampled_from([0.0, 5e-324]), st.floats(0.0, 1e300)),
+            min_size=d,
+            max_size=d,
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    return VariabilitySpace(
+        mean=rng.standard_normal(d), basis=basis, eigenvalues=sorted(eigenvalues, reverse=True)
+    )
+
+
+@PROPERTY
+@given(space=spaces())
+def test_spectrum_reads_back_exactly(tmp_path, space):
+    path = tmp_path / "spectrum.csv"
+    write_spectrum_csv(space, path)
+    logs, deltas = read_spectrum_csv(path)
+    assert np.array_equal(logs, log_spectrum(space))
+    assert np.array_equal(deltas, np.diff(log_spectrum(space)))
+
+
+@pytest.mark.parametrize(
+    "family, direction, match",
+    [
+        ("a\rb", "+", "unknown sweep family 'a\rb'"),
+        ("custom", "-", "unknown sweep family 'custom'"),
+        ("primary", "a,b", "sweep direction must be '\\+' or '-', got 'a,b'"),
+        ("primary", "", "sweep direction must be '\\+' or '-', got ''"),
+    ],
+)
+def test_sweep_row_rejects_what_the_format_cannot_carry(family, direction, match):
+    with pytest.raises(DataError, match=match):
+        SweepRow(family, 1, 2, direction, 12.5, 3, 4)
+
+
+def test_sweep_file_with_unknown_family_names_line(tmp_path):
+    path = tmp_path / "sweep.csv"
+    path.write_text(
+        "family,start,size,direction,eer_percent,n_target,n_nontarget\n"
+        "primary,1,0,+,12.5,10,20\n"
+        "custom,1,2,+,15.0,10,20\n"
+    )
+    with pytest.raises(FormatError, match="sweep CSV line 3: unknown sweep family 'custom'"):
+        read_sweep_csv(path)
