@@ -27,39 +27,49 @@ _CSV_LIMIT = 131072
 class EmbeddingSet:
     """Ordered collection of (utterance id, speaker id, vector) records with
     unique utterance ids and a uniform dimension. Vectors are stored as a
-    read-only (N, D) float64 matrix."""
+    read-only (N, D) float64 matrix that shares no memory with the caller's."""
 
     utt_ids: tuple[str, ...]
     spk_ids: tuple[str, ...]
     vectors: np.ndarray
 
     def __post_init__(self):
+        given = self.vectors
         utt_ids = tuple(self.utt_ids)
         spk_ids = tuple(self.spk_ids)
-        vectors = as_matrix(self.vectors, "embedding vectors")
-        if len(utt_ids) != len(vectors) or len(spk_ids) != len(vectors):
+        vectors = as_matrix(given, "embedding vectors")
+        n = len(vectors)
+        if len(utt_ids) != n or len(spk_ids) != n:
             raise DataError("id lists and vector rows disagree in length")
-        row_of, speaker_rows = {}, {}
-        for i, (utt, spk) in enumerate(zip(utt_ids, spk_ids)):
-            if not (isinstance(utt, str) and isinstance(spk, str)):
-                raise DataError(f"row {i}: ids must be strings, got {utt!r} and {spk!r}")
-            if not utt:
-                raise DataError("empty utterance id")
-            if not spk:
-                raise DataError("empty speaker id")
-            if utt in row_of:
-                raise DataError(f"duplicate utterance id '{utt}'")
-            row_of[utt] = i
-            speaker_rows.setdefault(spk, []).append(i)
-        vectors = vectors.copy()
+        # whole-list checks first; the row loop runs only to name a bad row
+        row_of = (
+            dict(zip(utt_ids, range(n)))
+            if all(map(isinstance, utt_ids, repeat(str)))
+            and all(map(isinstance, spk_ids, repeat(str)))
+            and "" not in utt_ids
+            and "" not in spk_ids
+            else {}
+        )
+        if len(row_of) != n:
+            row_of = _checked_rows(utt_ids, spk_ids)
+        # a speaker's rows are a run of one stable sort by first-appearance
+        # code, sliced from a read-only array so no slice can be made writable
+        code_of = dict(zip(dict.fromkeys(spk_ids), range(n)))
+        codes = np.fromiter(map(code_of.__getitem__, spk_ids), dtype=np.intp, count=n)
+        order = np.argsort(codes, kind="stable")
+        order.setflags(write=False)
+        ends = np.cumsum(np.bincount(codes)).tolist()
+        speaker_rows = dict(zip(code_of, map(order.__getitem__, map(slice, [0, *ends], ends))))
+        # as_matrix makes a new array from a list or a non-float64 array, and
+        # may return anything else's own memory: only that is copied
+        fresh = isinstance(given, (np.ndarray, list, tuple)) and vectors is not given
+        if not fresh or vectors.base is not None:
+            vectors = vectors.copy()
         vectors.setflags(write=False)
         object.__setattr__(self, "utt_ids", utt_ids)
         object.__setattr__(self, "spk_ids", spk_ids)
         object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "_row_of", row_of)
-        for spk, rows in speaker_rows.items():
-            speaker_rows[spk] = rows = np.array(rows)
-            rows.setflags(write=False)
         object.__setattr__(self, "_speaker_rows", speaker_rows)
 
     def __len__(self) -> int:
@@ -80,6 +90,24 @@ class EmbeddingSet:
     def speaker_rows(self, spk_id: str) -> np.ndarray:
         """Row indices of a speaker's records, ascending; empty if unknown."""
         return self._speaker_rows.get(spk_id, np.array([], dtype=np.intp))
+
+
+def _checked_rows(utt_ids, spk_ids) -> dict:
+    """Each utterance id's row, checking the rows in order: the first bad row
+    raises, naming its first defect (an id that is not a string, an empty
+    utterance or speaker id, a duplicate utterance id)."""
+    row_of = {}
+    for i, (utt, spk) in enumerate(zip(utt_ids, spk_ids)):
+        if not (isinstance(utt, str) and isinstance(spk, str)):
+            raise DataError(f"row {i}: ids must be strings, got {utt!r} and {spk!r}")
+        if not utt:
+            raise DataError("empty utterance id")
+        if not spk:
+            raise DataError("empty speaker id")
+        if utt in row_of:
+            raise DataError(f"duplicate utterance id '{utt}'")
+        row_of[utt] = i
+    return row_of
 
 
 @contextmanager
@@ -238,11 +266,15 @@ def _save_binary(embeddings: EmbeddingSet, destination) -> None:
             f"utterance '{embeddings.utt_ids[fits.argmin()]}': a value exceeds the "
             "float32 range of the binary format"
         )
-    for utt, spk, vec in zip(embeddings.utt_ids, embeddings.spk_ids, vectors):
+    for i, (utt, spk, vec) in enumerate(zip(embeddings.utt_ids, embeddings.spk_ids, vectors)):
         utt_b = _utf8(utt)
         spk_b = _utf8(spk)
         if len(utt_b) > 0xFFFF or len(spk_b) > 0xFFFF:
-            raise DataError(f"id too long for binary format: '{utt}'")
+            side, raw = ("utterance", utt_b) if len(utt_b) > 0xFFFF else ("speaker", spk_b)
+            raise DataError(
+                f"row {i}: {side} id of {len(raw)} UTF-8 bytes exceeds the binary "
+                "format's limit of 65535"
+            )
         pieces += (struct.pack("<H", len(utt_b)), utt_b, struct.pack("<H", len(spk_b)), spk_b, vec)
     with open(destination, "wb") as fh:
         fh.write(b"".join(pieces))
@@ -260,33 +292,37 @@ def _load_binary(source) -> EmbeddingSet:
         raise FormatError(f"unsupported embeddings file version {version}")
     if d < 1:
         raise DataError("embeddings file declares dimension 0")
+    # field by field, each in bounds before it is decoded, so a cut inside a
+    # multi-byte id is a truncation; reading past the end is an IndexError
     view = memoryview(blob)
+    size, step = len(blob), 4 * d
     offset = header_size
-
-    def take(size: int) -> memoryview:
-        nonlocal offset
-        if offset + size > len(blob):
-            raise FormatError("embeddings file truncated inside a record")
-        offset += size
-        return view[offset - size : offset]
-
-    # ids are parsed record by record; the vectors' bytes are converted at once
     utts, spks, vectors = [], [], []
     try:
         for _ in range(n):
-            utts.append(str(take(int.from_bytes(take(2), "little")), "utf-8"))
-            spks.append(str(take(int.from_bytes(take(2), "little")), "utf-8"))
-            vectors.append(take(4 * d))
+            for ids in (utts, spks):
+                start = offset + 2
+                offset = start + (blob[start - 2] | blob[start - 1] << 8)
+                if offset > size:
+                    raise IndexError
+                ids.append(str(blob[start:offset], "utf-8"))
+            offset += step
+            if offset > size:
+                raise IndexError
+            vectors.append(view[offset - step : offset])
+    except IndexError:
+        raise FormatError("embeddings file truncated inside a record") from None
     except UnicodeDecodeError as exc:
         raise FormatError(f"embeddings file record corrupt: {exc}") from None
-    if offset != len(blob):
+    if offset != size:
         raise FormatError(
-            f"embeddings file has {len(blob) - offset} trailing bytes after {n} records"
+            f"embeddings file has {size - offset} trailing bytes after {n} records"
         )
     if not vectors:
         raise DataError("embeddings file contains no records")
+    # float32 rows: EmbeddingSet's float64 conversion is the only copy
     vectors = np.frombuffer(b"".join(vectors), dtype="<f4").reshape(n, d)
-    return EmbeddingSet(tuple(utts), tuple(spks), vectors.astype(np.float64))
+    return EmbeddingSet(tuple(utts), tuple(spks), vectors)
 
 
 @dataclass(frozen=True, slots=True)

@@ -5,6 +5,7 @@ sweeps that tabulate EER against the removed block size."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import astuple, dataclass
 from typing import Mapping
 
@@ -203,6 +204,16 @@ class SweepRow:
             raise DataError(f"sweep direction must be '+' or '-', got '{self.direction}'")
         for name in ("start", "size", "n_target", "n_nontarget"):
             object.__setattr__(self, name, as_int(getattr(self, name), name))
+        eer = self.eer_percent
+        if isinstance(eer, bool) or not isinstance(eer, numbers.Real):
+            raise DataError(f"eer_percent must be a real number, got {eer!r}")
+        try:
+            eer = float(eer)
+        except OverflowError:
+            eer = math.inf
+        if not math.isfinite(eer):
+            raise DataError(f"eer_percent must be finite, got {eer!r}")
+        object.__setattr__(self, "eer_percent", eer)
 
 
 @dataclass(frozen=True)

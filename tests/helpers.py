@@ -7,12 +7,14 @@ plain loops, separate from the library code paths it is used to check.
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 
 from varispace import (
     CounterRng,
     DataError,
+    FormatError,
     NumericalError,
     ScoredTrials,
     SubspaceSpec,
@@ -473,3 +475,90 @@ def make_trials_oracle(embeddings, n_nontarget: int, seed: int) -> TrialList:
         entries.append(Trial(spk, embeddings.utt_ids[row], False))
         drawn += 1
     return TrialList(tuple(entries))
+
+
+def emb1_blob(d, records, n=None, version=1):
+    """An EMB1 file built one field at a time, as README "File formats"
+    describes it: magic, u32 version, u32 D, u64 N, then per record a u16
+    utt-id byte length, the utf-8 bytes, the same for the spk id, and D
+    little-endian f32 values."""
+    blob = b"EMB1" + struct.pack("<I", version) + struct.pack("<I", d)
+    blob += struct.pack("<Q", len(records) if n is None else n)
+    for utt, spk, values in records:
+        for name in (utt, spk):
+            raw = name.encode("utf-8") if isinstance(name, str) else name
+            blob += struct.pack("<H", len(raw)) + raw
+        blob += b"".join(struct.pack("<f", v) for v in values)
+    return blob
+
+
+def embedding_set_oracle(utt_ids, spk_ids, vectors):
+    """``EmbeddingSet``'s checks and lookup maps one row at a time, in the
+    order a bad row is reported: ids that are not strings, an empty
+    utterance id, an empty speaker id, a duplicate utterance id. Returns
+    ``(utt_ids, spk_ids, vectors, row_of, speaker_rows)`` with read-only
+    vectors and speaker rows."""
+    utt_ids = tuple(utt_ids)
+    spk_ids = tuple(spk_ids)
+    vectors = as_matrix(vectors, "embedding vectors")
+    if len(utt_ids) != len(vectors) or len(spk_ids) != len(vectors):
+        raise DataError("id lists and vector rows disagree in length")
+    row_of, speaker_rows = {}, {}
+    for i, (utt, spk) in enumerate(zip(utt_ids, spk_ids)):
+        if not (isinstance(utt, str) and isinstance(spk, str)):
+            raise DataError(f"row {i}: ids must be strings, got {utt!r} and {spk!r}")
+        if not utt:
+            raise DataError("empty utterance id")
+        if not spk:
+            raise DataError("empty speaker id")
+        if utt in row_of:
+            raise DataError(f"duplicate utterance id '{utt}'")
+        row_of[utt] = i
+        speaker_rows.setdefault(spk, []).append(i)
+    vectors = vectors.copy()
+    vectors.setflags(write=False)
+    for spk, rows in speaker_rows.items():
+        speaker_rows[spk] = rows = np.array(rows)
+        rows.setflags(write=False)
+    return utt_ids, spk_ids, vectors, row_of, speaker_rows
+
+
+def load_binary_oracle(source):
+    """An EMB1 file read one field at a time through a bounds-checked
+    ``take``, then checked by :func:`embedding_set_oracle`."""
+    with open(source, "rb") as fh:
+        blob = fh.read()
+    header_size = struct.calcsize("<4sIIQ")
+    if len(blob) < header_size:
+        raise FormatError(f"embeddings file truncated: {len(blob)} bytes")
+    _, version, d, n = struct.unpack_from("<4sIIQ", blob, 0)
+    if version != 1:
+        raise FormatError(f"unsupported embeddings file version {version}")
+    if d < 1:
+        raise DataError("embeddings file declares dimension 0")
+    view = memoryview(blob)
+    offset = header_size
+
+    def take(size: int) -> memoryview:
+        nonlocal offset
+        if offset + size > len(blob):
+            raise FormatError("embeddings file truncated inside a record")
+        offset += size
+        return view[offset - size : offset]
+
+    utts, spks, vectors = [], [], []
+    try:
+        for _ in range(n):
+            utts.append(str(take(int.from_bytes(take(2), "little")), "utf-8"))
+            spks.append(str(take(int.from_bytes(take(2), "little")), "utf-8"))
+            vectors.append(take(4 * d))
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"embeddings file record corrupt: {exc}") from None
+    if offset != len(blob):
+        raise FormatError(
+            f"embeddings file has {len(blob) - offset} trailing bytes after {n} records"
+        )
+    if not vectors:
+        raise DataError("embeddings file contains no records")
+    vectors = np.frombuffer(b"".join(vectors), dtype="<f4").reshape(n, d)
+    return embedding_set_oracle(tuple(utts), tuple(spks), vectors.astype(np.float64))

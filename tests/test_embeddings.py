@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from helpers import emb1_blob
 from varispace import (
     DataError,
     EmbeddingSet,
@@ -58,6 +59,25 @@ class TestEmbeddingSet:
         # every format writes ids as text, so the set accepts only strings
         with pytest.raises(DataError, match=f"row {row}: ids must be strings"):
             EmbeddingSet(utt_ids, spk_ids, np.zeros((2, 2)))
+
+    @pytest.mark.parametrize(
+        "utt_ids, spk_ids, message",
+        [
+            (["a", ["b"]], ["s", "s"], "row 1: ids must be strings, got ['b'] and 's'"),
+            (["a", "b"], ["s", {}], "row 1: ids must be strings, got 'b' and {}"),
+            (["a", "b"], ["", 5], "empty speaker id"),
+            (["", "b"], ["", "s"], "empty utterance id"),
+            (["a", "a", ""], ["s", "s", "s"], "duplicate utterance id 'a'"),
+            (["a", "a", 1], ["s", "s", "s"], "duplicate utterance id 'a'"),
+            (["a", 1, "a"], ["s", "s", ""], "row 1: ids must be strings, got 1 and 's'"),
+        ],
+    )
+    def test_first_bad_row_names_its_first_defect(self, utt_ids, spk_ids, message):
+        # rows are checked in order; within a row, the id types come first,
+        # then an empty utterance id, an empty speaker id, a duplicate
+        with pytest.raises(DataError) as err:
+            EmbeddingSet(utt_ids, spk_ids, np.zeros((len(utt_ids), 2)))
+        assert str(err.value) == message
 
     def test_non_finite_rejected(self):
         with pytest.raises(DataError):
@@ -225,6 +245,29 @@ class TestBinaryFormat:
             save_embeddings(emb, path, format="binary")
         assert not path.exists()
 
+    @pytest.mark.parametrize("side", ["utterance", "speaker"])
+    def test_ids_too_long_for_the_binary_format_named(self, tmp_path, side):
+        # 21846 three-byte characters: 65538 UTF-8 bytes, over the u16 length
+        too_long = "码" * 21846
+        utts, spks = ["u1", "u2"], ["s", "s"]
+        (utts if side == "utterance" else spks)[1] = too_long
+        path = tmp_path / "a.emb"
+        with pytest.raises(DataError) as err:
+            save_embeddings(EmbeddingSet(utts, spks, np.eye(2)), path, format="binary")
+        assert str(err.value) == (
+            f"row 1: {side} id of 65538 UTF-8 bytes exceeds the binary format's limit of 65535"
+        )
+        assert not path.exists()
+
+    def test_longest_ids_round_trip(self, tmp_path):
+        longest = "x" * 0xFFFF
+        emb = EmbeddingSet((longest, "u2"), ("s", longest), np.eye(2))
+        path = tmp_path / "a.emb"
+        save_embeddings(emb, path, format="binary")
+        loaded = load_embeddings(path)
+        assert loaded.utt_ids == emb.utt_ids
+        assert loaded.spk_ids == emb.spk_ids
+
     def test_truncation(self, tmp_path):
         path = tmp_path / "a.emb"
         save_embeddings(_sample_set(np.random.default_rng(7)), path, format="binary")
@@ -240,21 +283,6 @@ class TestBinaryFormat:
             load_embeddings(path)
 
 
-def _emb1(d, records, n=None, version=1):
-    """An EMB1 file built one field at a time, as README "File formats"
-    describes it: magic, u32 version, u32 D, u64 N, then per record a u16
-    utt-id byte length, the utf-8 bytes, the same for the spk id, and D
-    little-endian f32 values."""
-    blob = b"EMB1" + struct.pack("<I", version) + struct.pack("<I", d)
-    blob += struct.pack("<Q", len(records) if n is None else n)
-    for utt, spk, values in records:
-        for name in (utt, spk):
-            raw = name.encode("utf-8") if isinstance(name, str) else name
-            blob += struct.pack("<H", len(raw)) + raw
-        blob += b"".join(struct.pack("<f", v) for v in values)
-    return blob
-
-
 # f32-exact values, so the expected float64 matrix is known exactly
 EMB1_RECORDS = [
     ("utt-a", "spk1", [0.5, -1.25, 3.0]),
@@ -265,7 +293,7 @@ EMB1_RECORDS = [
 
 class TestBinaryFixtures:
     def test_hand_built_file_loads_and_saves_back(self, tmp_path):
-        blob = _emb1(3, EMB1_RECORDS)
+        blob = emb1_blob(3, EMB1_RECORDS)
         path = tmp_path / "fixture.emb"
         path.write_bytes(blob)
         loaded = load_embeddings(path)
@@ -284,23 +312,35 @@ class TestBinaryFixtures:
                        ("spk bytes", 2 + 7 + 2 + 1), ("vector", 2 + 7 + 2 + 4 + 5)]
     )
     def test_truncation_inside_each_field(self, tmp_path, field, cut):
-        second = len(_emb1(3, EMB1_RECORDS[:1]))
+        second = len(emb1_blob(3, EMB1_RECORDS[:1]))
         assert len("ütt-β".encode()) == 7
         path = tmp_path / "cut.emb"
-        path.write_bytes(_emb1(3, EMB1_RECORDS)[: second + cut])
+        path.write_bytes(emb1_blob(3, EMB1_RECORDS)[: second + cut])
         with pytest.raises(FormatError, match="truncated inside a record"):
             load_embeddings(path)
+
+    def test_cut_at_every_byte_of_a_record_with_multi_byte_ids(self, tmp_path):
+        # a cut inside a multi-byte character is a truncation, not a bad id:
+        # each field's length is checked before its bytes are decoded
+        records = [("a", "s", [1.0, 2.0, 3.0]), ("码码码", "码码", [4.0, 5.0, 6.0])]
+        whole = emb1_blob(3, records)
+        second = len(emb1_blob(3, records[:1]))
+        path = tmp_path / "cut.emb"
+        for cut in range(second, len(whole)):
+            path.write_bytes(whole[:cut])
+            with pytest.raises(FormatError, match="truncated inside a record"):
+                load_embeddings(path)
 
     @pytest.mark.parametrize(
         "blob, error, match",
         [
             (b"EMB1" + struct.pack("<I", 1) + struct.pack("<I", 3), FormatError, "truncated"),
-            (_emb1(3, EMB1_RECORDS, version=2), FormatError, "version 2"),
-            (_emb1(0, []), DataError, "dimension 0"),
-            (_emb1(3, [(b"\xff", "s", [1.0, 2.0, 3.0])]), FormatError, "record corrupt"),
-            (_emb1(3, EMB1_RECORDS) + b"\0", FormatError, "1 trailing bytes"),
-            (_emb1(3, EMB1_RECORDS, n=2), FormatError, "trailing bytes after 2 records"),
-            (_emb1(3, []), DataError, "no records"),
+            (emb1_blob(3, EMB1_RECORDS, version=2), FormatError, "version 2"),
+            (emb1_blob(0, []), DataError, "dimension 0"),
+            (emb1_blob(3, [(b"\xff", "s", [1.0, 2.0, 3.0])]), FormatError, "record corrupt"),
+            (emb1_blob(3, EMB1_RECORDS) + b"\0", FormatError, "1 trailing bytes"),
+            (emb1_blob(3, EMB1_RECORDS, n=2), FormatError, "trailing bytes after 2 records"),
+            (emb1_blob(3, []), DataError, "no records"),
         ],
         ids=["short header", "version", "D=0", "bad utf-8", "trailing byte", "N too small",
              "no records"],

@@ -97,6 +97,46 @@ def test_sweep_row_rejects_what_the_format_cannot_carry(family, direction, match
         SweepRow(family, 1, 2, direction, 12.5, 3, 4)
 
 
+@pytest.mark.parametrize(
+    "eer, match",
+    [
+        ("12.5", "eer_percent must be a real number, got '12.5'"),
+        (True, "eer_percent must be a real number, got True"),
+        (np.True_, "eer_percent must be a real number, got "),
+        (None, "eer_percent must be a real number, got None"),
+        (float("nan"), "eer_percent must be finite, got nan"),
+        (float("inf"), "eer_percent must be finite, got inf"),
+        (-np.inf, "eer_percent must be finite, got -inf"),
+        (10**400, "eer_percent must be finite, got inf"),
+    ],
+)
+def test_sweep_row_rejects_an_eer_the_format_cannot_carry(eer, match):
+    with pytest.raises(DataError, match=match):
+        SweepRow("primary", 1, 2, "+", eer, 3, 4)
+
+
+def test_sweep_row_stores_a_real_eer_as_a_float_that_reads_back(tmp_path):
+    rows = tuple(
+        SweepRow("primary", 1, k, "+", eer, 3, 4)
+        for k, eer in enumerate([12, np.float32(2.5), np.int64(7), 12.5])
+    )
+    assert [type(r.eer_percent) for r in rows] == [float] * 4
+    assert [r.eer_percent for r in rows] == [12.0, 2.5, 7.0, 12.5]
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(SweepResult(rows=rows), path)
+    assert read_sweep_csv(path).rows == rows
+
+
+def test_sweep_file_with_non_finite_eer_names_line(tmp_path):
+    path = tmp_path / "sweep.csv"
+    path.write_text(
+        "family,start,size,direction,eer_percent,n_target,n_nontarget\n"
+        "primary,1,0,+,nan,10,20\n"
+    )
+    with pytest.raises(FormatError, match="sweep CSV line 2: eer_percent must be finite"):
+        read_sweep_csv(path)
+
+
 def test_sweep_file_with_unknown_family_names_line(tmp_path):
     path = tmp_path / "sweep.csv"
     path.write_text(
