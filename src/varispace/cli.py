@@ -115,7 +115,7 @@ def _cmd_modify(args) -> int:
 
 def _cmd_eer(args) -> int:
     enroll_set = load_embeddings(args.enroll)
-    test_set = load_embeddings(args.test)
+    test_set = enroll_set if args.test == args.enroll else load_embeddings(args.test)
     trials = load_trials(args.trials)
     wanted = {t.enroll_speaker for t in trials} & set(enroll_set.speakers())
     enrollments = {s: build_enrollment(enroll_set, s) for s in sorted(wanted)}

@@ -33,7 +33,7 @@ class EmbeddingSet:
     spk_ids: tuple[str, ...]
     vectors: np.ndarray
 
-    def __post_init__(self):
+    def __post_init__(self, adopt=False):
         given = self.vectors
         utt_ids = tuple(self.utt_ids)
         spk_ids = tuple(self.spk_ids)
@@ -61,9 +61,10 @@ class EmbeddingSet:
         ends = np.cumsum(np.bincount(codes)).tolist()
         speaker_rows = dict(zip(code_of, map(order.__getitem__, map(slice, [0, *ends], ends))))
         # as_matrix makes a new array from a list or a non-float64 array, and
-        # may return anything else's own memory: only that is copied
+        # may return anything else's own memory: only that is copied, unless
+        # library code handed over a matrix it has just made
         fresh = isinstance(given, (np.ndarray, list, tuple)) and vectors is not given
-        if not fresh or vectors.base is not None:
+        if not adopt and (not fresh or vectors.base is not None):
             vectors = vectors.copy()
         vectors.setflags(write=False)
         object.__setattr__(self, "utt_ids", utt_ids)
@@ -71,6 +72,18 @@ class EmbeddingSet:
         object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "_row_of", row_of)
         object.__setattr__(self, "_speaker_rows", speaker_rows)
+
+    @classmethod
+    def _adopt(cls, utt_ids, spk_ids, vectors: np.ndarray) -> EmbeddingSet:
+        """A set that keeps ``vectors``, a float64 matrix library code has just
+        made and holds no other reference to, rather than copying it. Every
+        check of the public constructor runs."""
+        emb = cls.__new__(cls)
+        object.__setattr__(emb, "utt_ids", utt_ids)
+        object.__setattr__(emb, "spk_ids", spk_ids)
+        object.__setattr__(emb, "vectors", vectors)
+        emb.__post_init__(adopt=True)
+        return emb
 
     def __len__(self) -> int:
         return self.vectors.shape[0]
@@ -224,17 +237,75 @@ def _save_csv(embeddings: EmbeddingSet, destination) -> None:
 
 
 def _load_csv(source) -> EmbeddingSet:
+    try:
+        utts, spks, vectors = _read_plain_csv(source)
+    except Exception:
+        # the row reader alone decides what else is accepted, and reports
+        # every error with its line
+        return _load_csv_rows(source)
+    return EmbeddingSet._adopt(tuple(utts), tuple(spks), vectors)
+
+
+def _read_csv_header(reader) -> int:
+    """The dimension D named by an embeddings CSV header."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise FormatError("embeddings CSV is empty") from None
+    if len(header) < 3 or header[:2] != ["utt_id", "spk_id"]:
+        raise FormatError("embeddings CSV header must start with utt_id,spk_id,d1,...")
+    d = len(header) - 2
+    if header[2:] != [f"d{i}" for i in range(1, d + 1)]:
+        raise FormatError("embeddings CSV header has bad dimension columns")
+    return d
+
+
+# characters that make csv and np.loadtxt read a line differently: a quote,
+# and the separators that loadtxt strips from a value as whitespace but float()
+# does not
+_NOT_PLAIN = '"\x1c\x1d\x1e\x1f'
+
+
+def _read_plain_csv(source) -> tuple[list, list, np.ndarray]:
+    """The ids and the (N, D) values of an embeddings CSV read with one
+    ``np.loadtxt`` pass, for a body whose lines hold D + 1 commas, none of
+    ``_NOT_PLAIN`` and no more than ``_CSV_LIMIT`` characters: there csv's
+    fields are the comma-separated pieces. Raises on any other body."""
+    with open_text(source, newline="") as fh:
+        d = _read_csv_header(csv.reader(fh))
+        utts, spks = [], []
+
+        def lines():
+            for line in fh:
+                if line in ("\n", "\r\n", "\r"):
+                    continue
+                if (
+                    len(line) > _CSV_LIMIT
+                    or line.count(",") != d + 1
+                    or any(map(line.__contains__, _NOT_PLAIN))
+                ):
+                    raise ValueError("not a plain line")
+                utt, spk, _ = line.split(",", 2)
+                utts.append(utt)
+                spks.append(spk)
+                yield line
+            if not utts:
+                raise ValueError("no records")
+
+        vectors = np.loadtxt(
+            lines(), dtype=np.float64, delimiter=",", quotechar=None, comments=None,
+            usecols=range(2, d + 2), ndmin=2,
+        )
+    if len(vectors) != len(utts):
+        raise ValueError("loadtxt skipped a line")
+    return utts, spks, vectors
+
+
+def _load_csv_rows(source) -> EmbeddingSet:
+    """The embeddings CSV read row by row through ``csv``."""
     with open_text(source, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError("embeddings CSV is empty") from None
-        if len(header) < 3 or header[:2] != ["utt_id", "spk_id"]:
-            raise FormatError("embeddings CSV header must start with utt_id,spk_id,d1,...")
-        d = len(header) - 2
-        if header[2:] != [f"d{i}" for i in range(1, d + 1)]:
-            raise FormatError("embeddings CSV header has bad dimension columns")
+        d = _read_csv_header(reader)
         utts, spks, rows = [], [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
@@ -252,7 +323,7 @@ def _load_csv(source) -> EmbeddingSet:
             rows.append(values)
     if not rows:
         raise DataError("embeddings CSV contains no records")
-    return EmbeddingSet(tuple(utts), tuple(spks), np.array(rows, dtype=np.float64))
+    return EmbeddingSet._adopt(tuple(utts), tuple(spks), np.array(rows, dtype=np.float64))
 
 
 def _save_binary(embeddings: EmbeddingSet, destination) -> None:

@@ -189,15 +189,18 @@ def generate(config: PopulationConfig) -> EmbeddingSet:
     between_sd = np.sqrt(config.between_variances)
     within_sd = np.sqrt(config.within_variances)
     means = rng.gaussians(s * d).reshape(s, d) * between_sd
-    noise = rng.gaussians(s * u * d).reshape(s, u, d) * within_sd
-    vectors = (means[:, None, :] + noise).reshape(s * u, d)
+    vectors = rng.gaussians(s * u * d).reshape(s * u, d) * within_sd
+    # each speaker's mean is added to its utterances' noise in place, so the
+    # set keeps this one matrix
+    by_speaker = vectors.reshape(s, u, d)
+    by_speaker += means[:, None, :]
     utt_ids = []
     spk_ids = []
     for k in range(1, s + 1):
         for j in range(1, u + 1):
             utt_ids.append(f"spk{k}_utt{j}")
             spk_ids.append(f"spk{k}")
-    return EmbeddingSet(tuple(utt_ids), tuple(spk_ids), vectors)
+    return EmbeddingSet._adopt(tuple(utt_ids), tuple(spk_ids), vectors)
 
 
 def make_trials(embeddings: EmbeddingSet, n_nontarget: int, seed: int) -> TrialList:

@@ -6,6 +6,7 @@ plain loops, separate from the library code paths it is used to check.
 
 from __future__ import annotations
 
+import csv
 import math
 import struct
 
@@ -14,6 +15,7 @@ import numpy as np
 from varispace import (
     CounterRng,
     DataError,
+    EmbeddingSet,
     FormatError,
     NumericalError,
     ScoredTrials,
@@ -26,6 +28,7 @@ from varispace import (
     modify_batch,
     score_trials,
 )
+from varispace.embeddings import open_text
 from varispace.linalg import SYMMETRY_RTOL, as_matrix, fix_eigvec_signs
 
 
@@ -562,3 +565,37 @@ def load_binary_oracle(source):
         raise DataError("embeddings file contains no records")
     vectors = np.frombuffer(b"".join(vectors), dtype="<f4").reshape(n, d)
     return embedding_set_oracle(tuple(utts), tuple(spks), vectors.astype(np.float64))
+
+
+def load_csv_oracle(source) -> EmbeddingSet:
+    """An embeddings CSV read row by row through ``csv``, each row's values
+    converted with ``float``: the reader before its ``np.loadtxt`` pass."""
+    with open_text(source, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise FormatError("embeddings CSV is empty") from None
+        if len(header) < 3 or header[:2] != ["utt_id", "spk_id"]:
+            raise FormatError("embeddings CSV header must start with utt_id,spk_id,d1,...")
+        d = len(header) - 2
+        if header[2:] != [f"d{i}" for i in range(1, d + 1)]:
+            raise FormatError("embeddings CSV header has bad dimension columns")
+        utts, spks, rows = [], [], []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != d + 2:
+                raise FormatError(
+                    f"embeddings CSV line {lineno}: expected {d + 2} fields, got {len(row)}"
+                )
+            utts.append(row[0])
+            spks.append(row[1])
+            try:
+                values = np.fromiter(map(float, row[2:]), dtype=np.float64, count=d)
+            except ValueError as exc:
+                raise DataError(f"embeddings CSV line {lineno}: {exc}") from None
+            rows.append(values)
+    if not rows:
+        raise DataError("embeddings CSV contains no records")
+    return EmbeddingSet(tuple(utts), tuple(spks), np.array(rows, dtype=np.float64))

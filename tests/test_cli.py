@@ -131,6 +131,18 @@ class TestFit:
         assert err.startswith("error:data:") and err.count("\n") == 1
         assert "byte offset 24" in err
 
+    def test_header_only_csv_is_one_data_line(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_text("utt_id,spk_id,d1,d2\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["fit", "--embeddings", str(path), "--out", str(tmp_path / "x.vsp")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error:data:embeddings CSV contains no records\n"
+        assert captured.out == ""
+        assert not caught
+
 
 class TestOutOfMemory:
     @pytest.mark.parametrize("message", [
@@ -288,6 +300,26 @@ class TestEer:
                      "--test", str(tmp_path / "test.csv"),
                      "--trials", str(tmp_path / "t.txt")]) == 0
         assert "eer_percent=50 " in capsys.readouterr().out
+
+    def test_same_file_loaded_once(self, workdir, capsys, monkeypatch):
+        (workdir / "copy.csv").write_bytes((workdir / "emb.csv").read_bytes())
+        calls = []
+
+        def counting(source):
+            calls.append(source)
+            return load_embeddings(source)
+
+        monkeypatch.setattr("varispace.cli.load_embeddings", counting)
+        outputs = []
+        for test in ("emb.csv", "copy.csv"):
+            calls.clear()
+            assert main(["eer", "--enroll", str(workdir / "emb.csv"),
+                         "--test", str(workdir / test),
+                         "--trials", str(workdir / "trials.txt")]) == 0
+            outputs.append((len(calls), capsys.readouterr()))
+        (once, same), (twice, copied) = outputs
+        assert (once, twice) == (1, 2)
+        assert same == copied and same.err == ""
 
     def test_unknown_utterance_names_line(self, workdir, capsys):
         (workdir / "bad.txt").write_text("spk1 spk1_utt1 target\nspk1 ghost nontarget\n")
