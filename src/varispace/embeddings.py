@@ -15,7 +15,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DataError, FormatError
-from .linalg import as_matrix
+from .linalg import frozen
 
 EMBEDDINGS_MAGIC = b"EMB1"
 EMBEDDINGS_VERSION = 1
@@ -27,17 +27,16 @@ _CSV_LIMIT = 131072
 class EmbeddingSet:
     """Ordered collection of (utterance id, speaker id, vector) records with
     unique utterance ids and a uniform dimension. Vectors are stored as a
-    read-only (N, D) float64 matrix that shares no memory with the caller's."""
+    read-only (N, D) float64 matrix, kept or copied as ``linalg.frozen`` rules."""
 
     utt_ids: tuple[str, ...]
     spk_ids: tuple[str, ...]
     vectors: np.ndarray
 
-    def __post_init__(self, adopt=False):
-        given = self.vectors
+    def __post_init__(self):
         utt_ids = tuple(self.utt_ids)
         spk_ids = tuple(self.spk_ids)
-        vectors = as_matrix(given, "embedding vectors")
+        vectors = frozen(self.vectors, "embedding vectors", 2)
         n = len(vectors)
         if len(utt_ids) != n or len(spk_ids) != n:
             raise DataError("id lists and vector rows disagree in length")
@@ -60,30 +59,11 @@ class EmbeddingSet:
         order.setflags(write=False)
         ends = np.cumsum(np.bincount(codes)).tolist()
         speaker_rows = dict(zip(code_of, map(order.__getitem__, map(slice, [0, *ends], ends))))
-        # as_matrix makes a new array from a list or a non-float64 array, and
-        # may return anything else's own memory: only that is copied, unless
-        # library code handed over a matrix it has just made
-        fresh = isinstance(given, (np.ndarray, list, tuple)) and vectors is not given
-        if not adopt and (not fresh or vectors.base is not None):
-            vectors = vectors.copy()
-        vectors.setflags(write=False)
         object.__setattr__(self, "utt_ids", utt_ids)
         object.__setattr__(self, "spk_ids", spk_ids)
         object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "_row_of", row_of)
         object.__setattr__(self, "_speaker_rows", speaker_rows)
-
-    @classmethod
-    def _adopt(cls, utt_ids, spk_ids, vectors: np.ndarray) -> EmbeddingSet:
-        """A set that keeps ``vectors``, a float64 matrix library code has just
-        made and holds no other reference to, rather than copying it. Every
-        check of the public constructor runs."""
-        emb = cls.__new__(cls)
-        object.__setattr__(emb, "utt_ids", utt_ids)
-        object.__setattr__(emb, "spk_ids", spk_ids)
-        object.__setattr__(emb, "vectors", vectors)
-        emb.__post_init__(adopt=True)
-        return emb
 
     def __len__(self) -> int:
         return self.vectors.shape[0]
@@ -169,11 +149,11 @@ def read_table(source, what: str, header, converters, build=lambda *values: valu
     field count or value (a ValueError from a converter or ``build``) raises
     FormatError naming ``what`` and the line."""
     with open_text(source, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != list(header):
+        records = list(_records(csv.reader(fh)))
+    if not records or records[0][1] != list(header):
         raise FormatError(f"{what} CSV has a bad header")
     parsed = []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in records[1:]:
         if len(row) != len(header):
             raise FormatError(f"{what} CSV line {lineno}: expected {len(header)} fields")
         try:
@@ -181,6 +161,14 @@ def read_table(source, what: str, header, converters, build=lambda *values: valu
         except ValueError as exc:
             raise FormatError(f"{what} CSV line {lineno}: {exc}") from None
     return parsed
+
+
+def _records(reader):
+    """The reader's remaining records, each with the file line it starts on."""
+    start = reader.line_num + 1
+    for row in reader:
+        yield start, row
+        start = reader.line_num + 1
 
 
 def _utf8(value: str) -> bytes:
@@ -243,7 +231,8 @@ def _load_csv(source) -> EmbeddingSet:
         # the row reader alone decides what else is accepted, and reports
         # every error with its line
         return _load_csv_rows(source)
-    return EmbeddingSet._adopt(tuple(utts), tuple(spks), vectors)
+    vectors.setflags(write=False)  # locked and unshared: the set keeps it
+    return EmbeddingSet(tuple(utts), tuple(spks), vectors)
 
 
 def _read_csv_header(reader) -> int:
@@ -307,7 +296,7 @@ def _load_csv_rows(source) -> EmbeddingSet:
         reader = csv.reader(fh)
         d = _read_csv_header(reader)
         utts, spks, rows = [], [], []
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in _records(reader):
             if not row:
                 continue
             if len(row) != d + 2:
@@ -323,7 +312,7 @@ def _load_csv_rows(source) -> EmbeddingSet:
             rows.append(values)
     if not rows:
         raise DataError("embeddings CSV contains no records")
-    return EmbeddingSet._adopt(tuple(utts), tuple(spks), np.array(rows, dtype=np.float64))
+    return EmbeddingSet(tuple(utts), tuple(spks), rows)
 
 
 def _save_binary(embeddings: EmbeddingSet, destination) -> None:
@@ -419,6 +408,8 @@ class TrialList:
         if not entries:
             raise DataError("trial list is empty")
         for i, t in enumerate(entries, start=1):
+            if not isinstance(t, Trial):
+                raise DataError(f"trial {i}: expected a Trial, got {t!r}")
             if not (isinstance(t.enroll_speaker, str) and isinstance(t.test_utterance, str)):
                 raise DataError(
                     f"trial {i}: ids must be strings, got {t.enroll_speaker!r} "
@@ -426,6 +417,8 @@ class TrialList:
                 )
             if not isinstance(t.target, (bool, np.bool_)):
                 raise DataError(f"trial {i}: target must be a bool, got {t.target!r}")
+            if not (t.line is None or type(t.line) is int and t.line > 0):
+                raise DataError(f"trial {i}: line must be a positive integer, got {t.line!r}")
         labels = np.fromiter((t.target for t in entries), dtype=bool, count=len(entries))
         labels.setflags(write=False)
         n_target = int(labels.sum())

@@ -2,11 +2,13 @@
 covariance estimation, and a symmetric eigensolver (LAPACK via numpy).
 
 Vectors are 1-D float64 arrays, matrices 2-D float64 arrays. All functions
-are pure; returned arrays never alias their inputs.
+are pure; returned arrays never alias their inputs, save where :func:`frozen` keeps one.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 
 import numpy as np
@@ -24,6 +26,20 @@ def as_int(value, name: str) -> int:
         return operator.index(value)
     except TypeError:
         raise DataError(f"{name} must be an integer, got {value!r}") from None
+
+
+def as_real(value, name: str) -> float:
+    """A real-number argument as a finite float. A bool, anything else that is
+    not a ``numbers.Real`` and a value that is not finite raise DataError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DataError(f"{name} must be a real number, got {value!r}")
+    try:
+        real = float(value)
+    except OverflowError:
+        real = math.inf
+    if not math.isfinite(real):
+        raise DataError(f"{name} must be finite, got {real!r}")
+    return real
 
 
 def as_vector(values, name: str = "vector") -> np.ndarray:
@@ -55,6 +71,18 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
         raise DataError(f"{name} must have at least one row and one column")
     if not np.all(np.isfinite(arr)):
         raise DataError(f"{name} contains a non-finite entry")
+    return arr
+
+
+def frozen(given, name: str, ndim: int) -> np.ndarray:
+    """``given`` checked by :func:`as_vector` or :func:`as_matrix` (``ndim`` 1
+    or 2), read-only: kept if the check made it from a list, a tuple or an array
+    of another dtype, or if ``given`` is a read-only float64 owner; else copied."""
+    arr = as_vector(given, name) if ndim == 1 else as_matrix(given, name)
+    owned = isinstance(given, (np.ndarray, list, tuple)) and arr.base is None
+    if not owned or arr is given and arr.flags.writeable:
+        arr = arr.copy()
+    arr.setflags(write=False)
     return arr
 
 

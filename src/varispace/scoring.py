@@ -5,7 +5,6 @@ sweeps that tabulate EER against the removed block size."""
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import astuple, dataclass
 from typing import Mapping
 
@@ -13,7 +12,7 @@ import numpy as np
 
 from .embeddings import EmbeddingSet, TrialList, read_table, write_table
 from .errors import DataError, NumericalError
-from .linalg import as_int, as_matrix, as_vector, check_finite
+from .linalg import as_int, as_matrix, as_real, as_vector, check_finite, frozen
 from .space import VariabilitySpace
 from .subspace import BACKWARD, FORWARD, SWEEP_FAMILIES, SubspaceSpec, resolve_indices
 
@@ -73,19 +72,15 @@ class ScoredTrials:
     labels: np.ndarray
 
     def __post_init__(self):
-        scores = np.asarray(self.scores, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=bool)
-        if scores.ndim != 1 or labels.shape != scores.shape:
-            raise DataError("scores and labels must be 1-D and equal length")
-        if scores.size < 1:
-            raise DataError("scored trials are empty")
-        if not np.all(np.isfinite(scores)):
-            raise DataError("scores contain a non-finite value")
+        scores = frozen(self.scores, "scores", 1)
         if np.any(scores < -1.0 - 1e-9) or np.any(scores > 1.0 + 1e-9):
             raise DataError("scores fall outside [-1, 1]")
-        scores = scores.copy()
-        labels = labels.copy()
-        scores.setflags(write=False)
+        try:
+            labels = np.array(self.labels)
+        except (TypeError, ValueError):
+            labels = np.array(None)  # ragged: not an array of any dtype
+        if labels.dtype != bool or labels.shape != scores.shape:
+            raise DataError(f"labels must be a bool array of shape {scores.shape}")
         labels.setflags(write=False)
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "labels", labels)
@@ -204,16 +199,7 @@ class SweepRow:
             raise DataError(f"sweep direction must be '+' or '-', got '{self.direction}'")
         for name in ("start", "size", "n_target", "n_nontarget"):
             object.__setattr__(self, name, as_int(getattr(self, name), name))
-        eer = self.eer_percent
-        if isinstance(eer, bool) or not isinstance(eer, numbers.Real):
-            raise DataError(f"eer_percent must be a real number, got {eer!r}")
-        try:
-            eer = float(eer)
-        except OverflowError:
-            eer = math.inf
-        if not math.isfinite(eer):
-            raise DataError(f"eer_percent must be finite, got {eer!r}")
-        object.__setattr__(self, "eer_percent", eer)
+        object.__setattr__(self, "eer_percent", as_real(self.eer_percent, "eer_percent"))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .embeddings import EmbeddingSet, read_table, write_table
 from .errors import DataError, FormatError
-from .linalg import as_int, as_matrix, as_vector, check_finite, covariance, eig_sym
+from .linalg import as_int, as_real, as_vector, check_finite, covariance, eig_sym, frozen
 
 SPACE_MAGIC = b"VSP1"
 SPACE_VERSION = 1
@@ -39,9 +39,9 @@ class VariabilitySpace:
     eigenvalues: np.ndarray
 
     def __post_init__(self):
-        mean = as_vector(self.mean, "mean")
-        basis = as_matrix(self.basis, "basis")
-        eigenvalues = as_vector(self.eigenvalues, "eigenvalues")
+        for name, ndim in (("mean", 1), ("basis", 2), ("eigenvalues", 1)):
+            object.__setattr__(self, name, frozen(getattr(self, name), name, ndim))
+        mean, basis, eigenvalues = self.mean, self.basis, self.eigenvalues
         d = mean.size
         if basis.shape != (d, d):
             raise DataError(
@@ -62,10 +62,6 @@ class VariabilitySpace:
             raise DataError("eigenvalues must be sorted in descending order")
         if eigenvalues[-1] < 0.0:
             raise DataError("eigenvalues must be non-negative")
-        for name, arr in (("mean", mean), ("basis", basis), ("eigenvalues", eigenvalues)):
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
     @property
     def dim(self) -> int:
@@ -81,10 +77,8 @@ class DeltaSpectrum:
     floor_epsilon: float
 
     def __post_init__(self):
-        values = as_vector(self.values, "delta values")
-        values = values.copy()
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", frozen(self.values, "delta values", 1))
+        object.__setattr__(self, "floor_epsilon", as_real(self.floor_epsilon, "floor epsilon"))
 
     def __len__(self) -> int:
         return self.values.size
@@ -119,8 +113,10 @@ def fit(embeddings: EmbeddingSet) -> VariabilitySpace:
             stacklevel=2,
         )
     basis, lam = eig_sym(covariance(data))
-    lam = np.maximum(lam, 0.0)
-    return VariabilitySpace(mean=data.mean(axis=0), basis=basis, eigenvalues=lam)
+    lam, mean = np.maximum(lam, 0.0), data.mean(axis=0)
+    for arr in (mean, basis, lam):
+        arr.setflags(write=False)  # locked and unshared: the space keeps them
+    return VariabilitySpace(mean=mean, basis=basis, eigenvalues=lam)
 
 
 # near the largest float64, finite inputs can overflow the products below
@@ -196,6 +192,7 @@ def detect_turning(
     window = as_int(window, "window")
     if window < 1:
         raise DataError("window must be >= 1")
+    oscillation_tol = as_real(oscillation_tol, "oscillation tolerance")
     if not oscillation_tol > 0.0:
         raise DataError("oscillation tolerance must be positive")
     values = deltas.values

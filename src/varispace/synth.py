@@ -9,7 +9,7 @@ import numpy as np
 
 from .embeddings import EmbeddingSet, Trial, TrialList, open_text
 from .errors import DataError, NumericalError
-from .linalg import as_int
+from .linalg import as_int, frozen
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -75,22 +75,17 @@ class PopulationConfig:
     def __post_init__(self):
         for name in ("n_speakers", "utts_per_speaker", "dim", "seed"):
             object.__setattr__(self, name, as_int(getattr(self, name), name))
-        if self.n_speakers < 1:
-            raise DataError(f"n_speakers must be >= 1, got {self.n_speakers}")
-        if self.utts_per_speaker < 1:
-            raise DataError(f"utts_per_speaker must be >= 1, got {self.utts_per_speaker}")
-        if self.dim < 1:
-            raise DataError(f"dim must be >= 1, got {self.dim}")
+        for name in ("n_speakers", "utts_per_speaker", "dim"):
+            if getattr(self, name) < 1:
+                raise DataError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0 <= self.seed <= _MASK64:
             raise DataError("seed must be an unsigned 64-bit integer")
         for name in ("between_variances", "within_variances"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            if arr.shape != (self.dim,):
+            arr = frozen(getattr(self, name), name, 1)
+            if arr.size != self.dim:
                 raise DataError(f"{name} must have length dim={self.dim}")
-            if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
-                raise DataError(f"{name} must be finite and non-negative")
-            arr = arr.copy()
-            arr.setflags(write=False)
+            if np.any(arr < 0.0):
+                raise DataError(f"{name} must be non-negative")
             object.__setattr__(self, name, arr)
 
 
@@ -190,17 +185,17 @@ def generate(config: PopulationConfig) -> EmbeddingSet:
     within_sd = np.sqrt(config.within_variances)
     means = rng.gaussians(s * d).reshape(s, d) * between_sd
     vectors = rng.gaussians(s * u * d).reshape(s * u, d) * within_sd
-    # each speaker's mean is added to its utterances' noise in place, so the
-    # set keeps this one matrix
+    # each speaker's mean is added in place; once locked, the set keeps the matrix
     by_speaker = vectors.reshape(s, u, d)
     by_speaker += means[:, None, :]
+    vectors.setflags(write=False)
     utt_ids = []
     spk_ids = []
     for k in range(1, s + 1):
         for j in range(1, u + 1):
             utt_ids.append(f"spk{k}_utt{j}")
             spk_ids.append(f"spk{k}")
-    return EmbeddingSet._adopt(tuple(utt_ids), tuple(spk_ids), vectors)
+    return EmbeddingSet(tuple(utt_ids), tuple(spk_ids), vectors)
 
 
 def make_trials(embeddings: EmbeddingSet, n_nontarget: int, seed: int) -> TrialList:

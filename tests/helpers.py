@@ -569,7 +569,8 @@ def load_binary_oracle(source):
 
 def load_csv_oracle(source) -> EmbeddingSet:
     """An embeddings CSV read row by row through ``csv``, each row's values
-    converted with ``float``: the reader before its ``np.loadtxt`` pass."""
+    converted with ``float``: the reader before its ``np.loadtxt`` pass, with
+    errors naming the file line a record starts on."""
     with open_text(source, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -582,7 +583,10 @@ def load_csv_oracle(source) -> EmbeddingSet:
         if header[2:] != [f"d{i}" for i in range(1, d + 1)]:
             raise FormatError("embeddings CSV header has bad dimension columns")
         utts, spks, rows = [], [], []
-        for lineno, row in enumerate(reader, start=2):
+        # a record is named by the file line it starts on
+        start = reader.line_num + 1
+        for row in reader:
+            lineno, start = start, reader.line_num + 1
             if not row:
                 continue
             if len(row) != d + 2:

@@ -1,5 +1,6 @@
-"""The package's public surface: its exports, and the integer arguments
-that reject non-integers instead of truncating or failing inside numpy."""
+"""The package's public surface: its exports, and the integer and real
+arguments that reject other values instead of truncating them or failing
+inside numpy."""
 
 import inspect
 
@@ -10,6 +11,7 @@ import varispace
 from varispace import (
     CounterRng,
     DataError,
+    DeltaSpectrum,
     EmbeddingSet,
     PopulationConfig,
     SubspaceSpec,
@@ -90,3 +92,33 @@ def test_numpy_integers_are_integers():
     assert resolve_indices(spec, np.int32(6)) == (2,)
     rows = run_sweep(SPACE, EMB, TRIALS, "primary", np.arange(2)).rows
     assert [(type(row.size), row.size) for row in rows] == [(int, 0), (int, 1)]
+
+
+NON_REAL_CALLS = {
+    "detect_turning-tol-str": lambda: detect_turning(delta_spectrum(SPACE), oscillation_tol="a"),
+    "detect_turning-tol-bool": lambda: detect_turning(delta_spectrum(SPACE), oscillation_tol=True),
+    "delta_spectrum-floor-str": lambda: DeltaSpectrum([-0.5, -0.25], "x"),
+    "delta_spectrum-floor-none": lambda: DeltaSpectrum([-0.5, -0.25], None),
+    "sweep_row-eer-str": lambda: SweepRow("primary", 1, 2, "+", "10", 3, 4),
+}
+
+
+@pytest.mark.parametrize("call", NON_REAL_CALLS.values(), ids=NON_REAL_CALLS.keys())
+def test_non_real_argument_is_a_data_error(call):
+    with pytest.raises(DataError, match="must be a real number, got"):
+        call()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 10**400])
+def test_non_finite_real_argument_is_a_data_error(value):
+    with pytest.raises(DataError, match="oscillation tolerance must be finite, got"):
+        detect_turning(delta_spectrum(SPACE), oscillation_tol=value)
+
+
+def test_numpy_floats_are_reals():
+    deltas = DeltaSpectrum([-0.5, -0.25], np.float64(1e-12))
+    assert type(deltas.floor_epsilon) is float and deltas.floor_epsilon == 1e-12
+    spectrum = delta_spectrum(SPACE)
+    assert detect_turning(spectrum, window=2, oscillation_tol=np.float32(0.25)) == detect_turning(
+        spectrum, window=2, oscillation_tol=0.25
+    )

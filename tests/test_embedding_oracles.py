@@ -3,8 +3,8 @@ constructor against their record-by-record and row-by-row oracles in
 ``helpers``: for every input both return the same set (equal ids,
 bit-equal vectors, equal read-only speaker rows) or raise the same
 exception type with the same message. Also pins that a set never shares
-memory with the caller's array, and that a CSV read keeps the matrix it
-parsed rather than copying it."""
+memory with a caller's writable array or view, and that a CSV read keeps
+the matrix it parsed rather than copying it."""
 
 import struct
 import tracemalloc

@@ -161,6 +161,13 @@ class TestCsvFormat:
         assert loaded.spk_ids == spks
         assert np.array_equal(loaded.vectors, emb.vectors)
 
+    def test_error_names_the_line_a_record_starts_on(self, tmp_path):
+        # the quoted id spans lines 2-3, so the bad value sits on line 4
+        path = tmp_path / "emb.csv"
+        path.write_text('utt_id,spk_id,d1\n"a\nb",s,1\nu2,s,x\n')
+        with pytest.raises(DataError, match="^embeddings CSV line 4: could not convert"):
+            load_embeddings(path)
+
     @pytest.mark.parametrize("side", ["utt", "spk"])
     def test_ids_longer_than_a_csv_field_rejected(self, tmp_path, side):
         # csv's reader holds 131072 characters per field: the longest id
@@ -409,6 +416,11 @@ class TestTrials:
             (Trial("a", "u", 1), "trial 2: target must be a bool, got 1"),
             (Trial(1, "u", True), "trial 2: ids must be strings, got 1 and 'u'"),
             (Trial("a", b"u", False), "trial 2: ids must be strings, got 'a' and b'u'"),
+            (("a", "u", True), "trial 2: expected a Trial, got ('a', 'u', True)"),
+            (Trial("a", "u", True, line="x"), "trial 2: line must be a positive integer, got 'x'"),
+            (Trial("a", "u", True, line=0), "trial 2: line must be a positive integer, got 0"),
+            (Trial("a", "u", True, line=True), "trial 2: line must be a positive integer, got True"),
+            (Trial("a", "u", True, line=2.0), "trial 2: line must be a positive integer, got 2.0"),
         ],
     )
     def test_rejects_non_string_ids_and_non_bool_targets(self, trial, message):

@@ -1,22 +1,28 @@
-"""Property tests over every input parser and every function that takes a
-plain array: whatever the bytes, text or nested lists, the only exceptions
-that escape are ``VarispaceError`` (bad data, a bad format or a numerical
-failure) and ``OSError``, and ``varispace fit`` reports a failure as exactly
-one ``error:`` line."""
+"""Property tests over every input parser and every function or frozen
+value's constructor that takes a plain array: whatever the bytes, text or
+nested lists, the only exceptions that escape are ``VarispaceError`` (bad
+data, a bad format or a numerical failure) and ``OSError``, and ``varispace
+fit`` reports a failure as exactly one ``error:`` line. Also pins the one
+ownership rule of the arrays a frozen value stores."""
 
 import io
 import struct
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from varispace import (
     DataError,
+    DeltaSpectrum,
     EmbeddingSet,
     NumericalError,
+    PopulationConfig,
+    ScoredTrials,
     SubspaceSpec,
+    VariabilitySpace,
     VarispaceError,
     cosine,
     fit,
@@ -151,6 +157,19 @@ ARRAY_ENTRY_POINTS = {
     "project": lambda x: project(SPACE, x),
     "reconstruct": lambda x: reconstruct(SPACE, x),
 }
+# the frozen values' constructors, one array argument at a time
+ARRAY_CONSTRUCTORS = {
+    "EmbeddingSet": lambda x: EmbeddingSet(("a", "b"), ("s", "t"), x),
+    "VariabilitySpace-mean": lambda x: VariabilitySpace(x, np.eye(2), [2.0, 1.0]),
+    "VariabilitySpace-basis": lambda x: VariabilitySpace([0.0, 0.0], x, [2.0, 1.0]),
+    "VariabilitySpace-eigenvalues": lambda x: VariabilitySpace([0.0, 0.0], np.eye(2), x),
+    "DeltaSpectrum": lambda x: DeltaSpectrum(x, 1e-12),
+    "DeltaSpectrum-floor": lambda x: DeltaSpectrum([-0.5], x),
+    "ScoredTrials-scores": lambda x: ScoredTrials(x, [True, False]),
+    "ScoredTrials-labels": lambda x: ScoredTrials([0.5, -0.5], x),
+    "PopulationConfig": lambda x: PopulationConfig(2, 2, 2, x, [0.1, 0.1], 1),
+}
+ARRAY_TAKERS = {**ARRAY_ENTRY_POINTS, **ARRAY_CONSTRUCTORS}
 
 # nested lists of numbers of any finite magnitude (whose norms and products
 # can overflow float64), non-finite values, None, complex numbers, dicts and
@@ -180,14 +199,69 @@ def test_finite_overflow_is_numerical_error(name):
         ARRAY_ENTRY_POINTS[name]([1.7e308, 1.7e308])
 
 
-@pytest.mark.parametrize("name", list(ARRAY_ENTRY_POINTS))
+@pytest.mark.parametrize("name", list(ARRAY_TAKERS))
 @PROPERTY
 @given(values=array_like)
 def test_array_entry_point(name, values):
-    _only_toolkit_errors(ARRAY_ENTRY_POINTS[name], values)
+    _only_toolkit_errors(ARRAY_TAKERS[name], values)
 
 
 @pytest.mark.parametrize("values", [[[1.0], [2.0, 3.0]], [[1.0, 1j]], [[{}, 1.0]]])
 def test_non_numeric_matrix_is_data_error(values):
     with pytest.raises(DataError, match="not a numeric matrix"):
         EmbeddingSet(tuple(f"u{i}" for i in range(len(values))), ("s",) * len(values), values)
+
+
+# each frozen array: the constructor above that takes it, its field, a valid value
+FROZEN_FIELDS = [
+    ("EmbeddingSet", "vectors", np.eye(2)),
+    ("VariabilitySpace-mean", "mean", np.zeros(2)),
+    ("VariabilitySpace-basis", "basis", np.eye(2)),
+    ("VariabilitySpace-eigenvalues", "eigenvalues", np.array([2.0, 1.0])),
+    ("DeltaSpectrum", "values", np.array([-0.5, -0.25])),
+    ("ScoredTrials-scores", "scores", np.array([0.5, -0.5])),
+    ("PopulationConfig", "between_variances", np.array([1.0, 0.5])),
+]
+
+
+@pytest.mark.parametrize(
+    "constructor, field, value", FROZEN_FIELDS, ids=[c for c, _, _ in FROZEN_FIELDS]
+)
+def test_one_ownership_rule(constructor, field, value):
+    def stored(given):
+        return getattr(ARRAY_CONSTRUCTORS[constructor](given), field)
+
+    # a read-only float64 array that owns its memory is kept
+    owned = value.copy()
+    owned.setflags(write=False)
+    assert np.shares_memory(stored(owned), owned)
+    # a list, or an array of another dtype, is checked into a new array, kept
+    for made in (value.tolist(), value.astype(np.float32)):
+        got = stored(made)
+        assert got.dtype == np.float64 and not got.flags.writeable
+        assert np.array_equal(got, value)
+    # a writable array and a read-only view of a writable array are copied
+    writable = value.copy()
+    view = writable[...]
+    view.setflags(write=False)
+    for given in (writable, view):
+        got = stored(given)
+        assert not got.flags.writeable
+        assert not np.shares_memory(got, writable)
+        assert np.array_equal(got, value)
+
+
+@pytest.mark.parametrize(
+    "labels", [["no", ""], ["a"], [1, 0], np.array([1, 0]), [True], [[True, False]], [[True], []]]
+)
+def test_scored_trial_labels_must_be_a_bool_array_of_the_scores_shape(labels):
+    with pytest.raises(DataError, match=r"labels must be a bool array of shape \(2,\)"):
+        ScoredTrials([0.1, 0.2], labels)
+
+
+def test_scored_trial_labels_are_copied_and_read_only():
+    labels = np.array([True, False])
+    scored = ScoredTrials([0.1, 0.2], labels)
+    labels[0] = False
+    assert scored.labels.tolist() == [True, False]
+    assert not scored.labels.flags.writeable

@@ -146,3 +146,15 @@ def test_sweep_file_with_unknown_family_names_line(tmp_path):
     )
     with pytest.raises(FormatError, match="sweep CSV line 3: unknown sweep family 'custom'"):
         read_sweep_csv(path)
+
+
+def test_sweep_file_error_names_the_line_a_record_starts_on(tmp_path):
+    # the quoted start field spans lines 2-3, so the bad size sits on line 4
+    path = tmp_path / "sweep.csv"
+    path.write_text(
+        "family,start,size,direction,eer_percent,n_target,n_nontarget\n"
+        'primary,"1\n",0,+,12.5,10,20\n'
+        "primary,1,x,+,15.0,10,20\n"
+    )
+    with pytest.raises(FormatError, match="^sweep CSV line 4: invalid literal"):
+        read_sweep_csv(path)
