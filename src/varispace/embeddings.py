@@ -127,9 +127,144 @@ def open_text(source, newline=None):
 
 
 def format_float(value: float) -> str:
-    """A float as text with 17 significant digits, which parses back to the
-    same float bit for bit."""
+    """A float as ``%.17g`` text, which parses back to the same float bit for
+    bit: at most 17 significant digits, trailing zeros and a bare point
+    dropped, ``-0`` for negative zero."""
     return format(value, ".17g")
+
+
+# The embeddings CSV writer spells its values as format_float does, but in
+# whole-array passes. Each value becomes a field of _FIELD bytes: a comma,
+# its text and NUL padding, which one mask pass drops.
+_TEXT = 24  # characters in the longest %.17g text, such as -2.2250738585072014e-308
+_FIELD = _TEXT + 2  # a comma, the text and a "\n"
+_CHUNK = 1 << 15  # values per writer pass, so its temporaries stay a few MiB
+_OTHER = np.int8(-128)  # exponent key of a value format_float spells alone
+_E8, _E16, _E17 = np.int64(10**8), np.int64(10**16), np.int64(10**17)
+_TEN4, _TEN8 = np.uint32(10**4), np.uint32(10**8)
+_ZERO, _POINT, _NEWLINE = np.uint8(ord("0")), np.uint8(ord(".")), np.uint8(ord("\n"))
+# 10**p is a float64 exactly for 0 <= p <= 22, so for decimal exponents
+# -6 <= X <= 16 the product |v| * 10**(16 - X) splits exactly into two floats
+_POW10 = np.array([float(10**p) for p in range(23)])
+
+
+def _quads():
+    """The ASCII digits of 0000 to 9999 as little-endian words, then the same
+    with trailing zeros as NULs."""
+    digits = np.indices((10, 10, 10, 10), dtype=np.uint8).reshape(4, 10000)
+    zeros = digits == 0
+    for j in (2, 1, 0):
+        zeros[j] &= zeros[j + 1]  # digits j to 3 are all zero
+    chars = digits + _ZERO
+    words = np.concatenate([chars, chars * ~zeros], axis=1).T
+    return np.ascontiguousarray(words).view("<u4").ravel()
+
+
+_QUADS = _quads()
+
+
+def _split(a):
+    """Veltkamp's split: two floats of at most 26 significant bits that sum
+    exactly to each entry of ``a``."""
+    c = np.float64(2.0**27 + 1.0) * a
+    high = c - (c - a)
+    return high, a - high
+
+
+_POW10_HIGH, _POW10_LOW = _split(_POW10)
+
+
+def _decimal(values):
+    """Each value's decimal exponent X as an int8 key and its 17-digit
+    integer D, so that |v| rounds half to even to D * 10**(X - 16) as
+    ``%.17g`` rounds it. The key is _OTHER for values outside the range the
+    exact product covers: zero, |v| < 1e-6, |v| >= 1e17, and the few next to
+    a power of ten where log10's rounding misplaces X."""
+    a = np.abs(values)
+    with np.errstate(divide="ignore"):
+        x = np.floor(np.log10(a))  # -inf at zero
+    fast = (x >= -6.0) & (x <= 16.0)
+    # 1.0 stands in for the other values, which keeps the split clear of overflow
+    x = np.where(fast, x, 16.0)
+    a = np.where(fast, a, 1.0)
+    p = (16.0 - x).astype(np.intp)
+    # Dekker's two-product: hi + lo == a * 10**p exactly
+    hi = a * np.take(_POW10, p)
+    a_high, a_low = _split(a)
+    b_high, b_low = np.take(_POW10_HIGH, p), np.take(_POW10_LOW, p)
+    lo = a_low * b_low - (((hi - a_high * b_high) - a_low * b_high) - a_high * b_low)
+    # X is right only where 1e16 <= hi + lo < 1e17: next to a power of ten,
+    # log10's rounding can miss it by one
+    fast &= (hi >= 1e16) & (hi <= 1e17)
+    fast &= ~((hi == 1e16) & (lo < 0.0) | (hi == 1e17) & (lo >= 0.0))
+    # where fast, hi is an even integer (its spacing is 2 to 16), so rounding
+    # lo half to even rounds hi + lo half to even
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    carry = d == _E17
+    return np.where(fast, x + carry, _OTHER).astype(np.int8), np.where(carry, _E16, d)
+
+
+def _digit_chars(d):
+    """The 17 ASCII digits of each entry of ``d`` (0 <= d < 10**17), most
+    significant first, as two (m, 17) views: all of them, and the same with
+    NULs for the trailing zeros."""
+    top = d // _E8
+    bottom = (d - top * _E8).astype(np.uint32)
+    top = top.astype(np.uint32)
+    lead = top // _TEN8
+    top -= lead * _TEN8
+    groups = []
+    for part in (top, bottom):
+        high = part // _TEN4
+        groups += (high, part - high * _TEN4)
+    words = np.empty((2, len(d), 5), dtype="<u4")
+    words[:, :, 0] = (lead + np.uint32(ord("0"))) << np.uint32(24)
+    tail = np.ones(len(d), dtype=bool)  # the groups after this one are all zero
+    for k in range(4, 0, -1):
+        group = groups[k - 1]
+        words[0, :, k] = np.take(_QUADS, group)
+        words[1, :, k] = np.take(_QUADS, group + tail * _TEN4)
+        tail &= group == 0
+    digits, kept = words.view(np.uint8)[:, :, 3:]
+    return digits, kept
+
+
+def _float_fields(values) -> np.ndarray:
+    """An (m, _FIELD) byte array for the m float64 ``values``: row i holds a
+    comma and ``format_float(values[i])``, padded with NULs. Values are laid
+    out in runs of one exponent, in one sort, so that each run's layout is a
+    few slice assignments."""
+    key, d = _decimal(values)
+    order = np.argsort(key, kind="stable")
+    key = np.take(key, order)
+    digits, kept = _digit_chars(np.take(d, order))
+    fields = np.zeros((len(values), _FIELD), dtype=np.uint8)
+    fields[:, 0] = ord(",")
+    fields[:, 1] = np.take(np.signbit(values), order) * np.uint8(ord("-"))
+    cuts = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), len(key)]
+    for start, stop in zip(cuts, cuts[1:]):
+        x, run = int(key[start]), slice(start, stop)
+        field = fields[run]
+        if x == _OTHER:
+            texts = np.array([format_float(v) for v in values[order[run]].tolist()], f"S{_TEXT}")
+            field[:, 1 : 1 + _TEXT] = texts.view(np.uint8).reshape(-1, _TEXT)
+        elif 0 <= x <= 16:  # fixed: the point after digit x, if a digit follows
+            field[:, 2 : 3 + x] = digits[run, : x + 1]
+            if x < 16:
+                field[:, 3 + x] = (kept[run, x + 1] != 0) * _POINT
+                field[:, 4 + x : 20] = kept[run, x + 1 :]
+        elif -4 <= x < 0:  # fixed: "0." and -x - 1 zeros before the digits
+            field[:, 2 : 3 - x] = _ZERO
+            field[:, 3] = _POINT
+            field[:, 3 - x : 20 - x] = kept[run]
+        else:  # scientific, with a two-digit exponent
+            field[:, 2] = digits[run, 0]
+            field[:, 3] = (kept[run, 1] != 0) * _POINT
+            field[:, 4:20] = kept[run, 1:]
+            field[:, 20:24] = np.frombuffer(f"e{x:+03d}".encode(), dtype=np.uint8)
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(len(order))
+    return np.take(fields, inverse, axis=0)
 
 
 def write_table(destination, header, rows) -> None:
@@ -203,25 +338,36 @@ def save_embeddings(embeddings: EmbeddingSet, destination, format: str = "csv") 
 
 
 def _save_csv(embeddings: EmbeddingSet, destination) -> None:
-    d = embeddings.dim
+    n, d = embeddings.vectors.shape
     for value in embeddings.utt_ids + embeddings.spk_ids:
         _utf8(value)
         if len(value) > _CSV_LIMIT:
             raise DataError(f"id of {len(value)} characters exceeds the CSV limit of {_CSV_LIMIT}")
-    # ids go through the csv module for its quoting; the values, which never
-    # need quoting, through one %-template per row. The "\r\n" terminator
-    # makes the writer quote ids holding a lone "\r" as well as "\n".
-    line = ",".join(["%s"] + ["%.17g"] * d) + "\n"
+    # ids go through the csv module for its quoting, one row at a time; the
+    # "\r\n" terminator makes it quote ids holding a lone "\r" as well as "\n".
+    # The values, which never need quoting, go through _float_fields in
+    # chunks of whole rows.
     ids = io.StringIO()
     id_writer = csv.writer(ids, lineterminator="\r\n")
-    with open(destination, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["utt_id", "spk_id"] + [f"d{i}" for i in range(1, d + 1)])
-        for utt, spk, vec in zip(embeddings.utt_ids, embeddings.spk_ids, embeddings.vectors):
-            id_writer.writerow((utt, spk))
-            fh.write(line % (ids.getvalue()[:-2], *vec.tolist()))
-            ids.seek(0)
-            ids.truncate()
+    header = ",".join(["utt_id", "spk_id"] + [f"d{i}" for i in range(1, d + 1)])
+    step = max(1, _CHUNK // d)
+    with open(destination, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        for start in range(0, n, step):
+            rows = embeddings.vectors[start : start + step]
+            fields = _float_fields(rows.ravel())
+            fields.reshape(len(rows), d, _FIELD)[:, -1, -1] = _NEWLINE
+            text = fields[fields != 0]
+            ends = (np.flatnonzero(text == _NEWLINE) + 1).tolist()
+            lines = map(memoryview(text).__getitem__, map(slice, [0, *ends], ends))
+            pieces = []
+            chunk = slice(start, start + step)
+            for utt, spk, line in zip(embeddings.utt_ids[chunk], embeddings.spk_ids[chunk], lines):
+                id_writer.writerow((utt, spk))
+                pieces += (ids.getvalue()[:-2].encode(), line)
+                ids.seek(0)
+                ids.truncate()
+            fh.write(b"".join(pieces))
 
 
 def _load_csv(source) -> EmbeddingSet:

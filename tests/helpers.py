@@ -7,6 +7,7 @@ plain loops, separate from the library code paths it is used to check.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import struct
 
@@ -603,3 +604,22 @@ def load_csv_oracle(source) -> EmbeddingSet:
     if not rows:
         raise DataError("embeddings CSV contains no records")
     return EmbeddingSet(tuple(utts), tuple(spks), np.array(rows, dtype=np.float64))
+
+
+def save_csv_oracle(embeddings, destination) -> None:
+    """The embeddings CSV written row by row: the header and the ids through
+    ``csv``, each value through ``%.17g``. This is the writer before its
+    vectorised value kernel, without the id checks."""
+    d = embeddings.dim
+    line = ",".join(["%s"] + ["%.17g"] * d) + "\n"
+    ids = io.StringIO()
+    id_writer = csv.writer(ids, lineterminator="\r\n")
+    with open(destination, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(
+            ["utt_id", "spk_id"] + [f"d{i}" for i in range(1, d + 1)]
+        )
+        for utt, spk, vec in zip(embeddings.utt_ids, embeddings.spk_ids, embeddings.vectors):
+            id_writer.writerow((utt, spk))
+            fh.write(line % (ids.getvalue()[:-2], *vec.tolist()))
+            ids.seek(0)
+            ids.truncate()
