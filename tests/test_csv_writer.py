@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import save_csv_oracle
@@ -119,10 +119,6 @@ def test_extreme_values_raise_no_warning(tmp_path):
         assert_same_file(emb, tmp_path)
 
 
-def test_one_row_one_column(tmp_path):
-    assert_same_file(EmbeddingSet(('a,"b"',), ("s\r",), [[-0.1]]), tmp_path)
-
-
 def test_rows_across_the_chunk_boundary(tmp_path):
     d = 192
     step = embeddings._CHUNK // d
@@ -156,6 +152,7 @@ def embedding_sets(draw):
 
 @PROPERTY
 @given(emb=embedding_sets(), chunk=st.sampled_from([1, 5, 64, embeddings._CHUNK]))
+@example(emb=EmbeddingSet(('a,"b"',), ("s\r",), [[-0.1]]), chunk=embeddings._CHUNK)
 def test_writer_matches_row_oracle(tmp_path, emb, chunk):
     # a small chunk makes row counts cross the writer's chunk boundary
     with mock.patch.object(embeddings, "_CHUNK", chunk):
