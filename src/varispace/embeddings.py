@@ -40,17 +40,18 @@ class EmbeddingSet:
         n = len(vectors)
         if len(utt_ids) != n or len(spk_ids) != n:
             raise DataError("id lists and vector rows disagree in length")
-        # whole-list checks first; the row loop runs only to name a bad row
-        row_of = (
-            dict(zip(utt_ids, range(n)))
-            if all(map(isinstance, utt_ids, repeat(str)))
-            and all(map(isinstance, spk_ids, repeat(str)))
-            and "" not in utt_ids
-            and "" not in spk_ids
-            else {}
-        )
-        if len(row_of) != n:
-            row_of = _checked_rows(utt_ids, spk_ids)
+        # the first bad row raises, naming its first defect
+        row_of = {}
+        for i, (utt, spk) in enumerate(zip(utt_ids, spk_ids)):
+            if not (isinstance(utt, str) and isinstance(spk, str)):
+                raise DataError(f"row {i}: ids must be strings, got {utt!r} and {spk!r}")
+            if not utt:
+                raise DataError("empty utterance id")
+            if not spk:
+                raise DataError("empty speaker id")
+            if utt in row_of:
+                raise DataError(f"duplicate utterance id '{utt}'")
+            row_of[utt] = i
         # a speaker's rows are a run of one stable sort by first-appearance
         # code, sliced from a read-only array so no slice can be made writable
         code_of = dict(zip(dict.fromkeys(spk_ids), range(n)))
@@ -83,24 +84,6 @@ class EmbeddingSet:
     def speaker_rows(self, spk_id: str) -> np.ndarray:
         """Row indices of a speaker's records, ascending; empty if unknown."""
         return self._speaker_rows.get(spk_id, np.array([], dtype=np.intp))
-
-
-def _checked_rows(utt_ids, spk_ids) -> dict:
-    """Each utterance id's row, checking the rows in order: the first bad row
-    raises, naming its first defect (an id that is not a string, an empty
-    utterance or speaker id, a duplicate utterance id)."""
-    row_of = {}
-    for i, (utt, spk) in enumerate(zip(utt_ids, spk_ids)):
-        if not (isinstance(utt, str) and isinstance(spk, str)):
-            raise DataError(f"row {i}: ids must be strings, got {utt!r} and {spk!r}")
-        if not utt:
-            raise DataError("empty utterance id")
-        if not spk:
-            raise DataError("empty speaker id")
-        if utt in row_of:
-            raise DataError(f"duplicate utterance id '{utt}'")
-        row_of[utt] = i
-    return row_of
 
 
 @contextmanager
@@ -373,7 +356,7 @@ def _save_csv(embeddings: EmbeddingSet, destination) -> None:
 def _load_csv(source) -> EmbeddingSet:
     try:
         utts, spks, vectors = _read_plain_csv(source)
-    except Exception:
+    except ValueError:
         # the row reader alone decides what else is accepted, and reports
         # every error with its line
         return _load_csv_rows(source)

@@ -42,43 +42,36 @@ def as_real(value, name: str) -> float:
     return real
 
 
-def as_vector(values, name: str = "vector") -> np.ndarray:
-    """Coerce to a finite 1-D float64 array of length >= 1."""
+# per rank: what the array is called, its rank and its least size
+_RANKS = {
+    1: ("vector", "one-dimensional", "at least one entry"),
+    2: ("matrix", "two-dimensional", "at least one row and one column"),
+}
+
+
+def as_array(values, name: str, ndim: int) -> np.ndarray:
+    """Coerce to a finite float64 vector (``ndim`` 1) or matrix (``ndim`` 2)
+    with no empty axis."""
+    kind, rank, least = _RANKS[ndim]
     try:
         arr = np.asarray(values, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         # ragged rows, or entries that are not real numbers
-        raise DataError(f"{name} is not a numeric vector: {exc}") from None
-    if arr.ndim != 1:
-        raise DataError(f"{name} must be one-dimensional, got shape {arr.shape}")
+        raise DataError(f"{name} is not a numeric {kind}: {exc}") from None
+    if arr.ndim != ndim:
+        raise DataError(f"{name} must be {rank}, got shape {arr.shape}")
     if arr.size < 1:
-        raise DataError(f"{name} must have at least one entry")
-    if not np.all(np.isfinite(arr)):
-        raise DataError(f"{name} contains a non-finite entry")
-    return arr
-
-
-def as_matrix(values, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite 2-D float64 array with rows, cols >= 1."""
-    try:
-        arr = np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        # ragged rows, or entries that are not real numbers
-        raise DataError(f"{name} is not a numeric matrix: {exc}") from None
-    if arr.ndim != 2:
-        raise DataError(f"{name} must be two-dimensional, got shape {arr.shape}")
-    if arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise DataError(f"{name} must have at least one row and one column")
+        raise DataError(f"{name} must have {least}")
     if not np.all(np.isfinite(arr)):
         raise DataError(f"{name} contains a non-finite entry")
     return arr
 
 
 def frozen(given, name: str, ndim: int) -> np.ndarray:
-    """``given`` checked by :func:`as_vector` or :func:`as_matrix` (``ndim`` 1
-    or 2), read-only: kept if the check made it from a list, a tuple or an array
-    of another dtype, or if ``given`` is a read-only float64 owner; else copied."""
-    arr = as_vector(given, name) if ndim == 1 else as_matrix(given, name)
+    """``given`` checked by :func:`as_array` at rank ``ndim``, read-only: kept
+    if the check made it from a list, a tuple or an array of another dtype, or
+    if ``given`` is a read-only float64 owner; else copied."""
+    arr = as_array(given, name, ndim)
     owned = isinstance(given, (np.ndarray, list, tuple)) and arr.base is None
     if not owned or arr is given and arr.flags.writeable:
         arr = arr.copy()
@@ -108,7 +101,7 @@ def covariance(vectors) -> np.ndarray:
     NumericalError
         If the covariance of finite observations overflows float64.
     """
-    data = as_matrix(vectors, "observations")
+    data = as_array(vectors, "observations", 2)
     n = data.shape[0]
     if n < 2:
         raise DataError(f"covariance requires at least 2 observations, got {n}")
@@ -155,7 +148,7 @@ def eig_sym(matrix) -> tuple[np.ndarray, np.ndarray]:
     NumericalError
         If LAPACK reports that the decomposition did not converge.
     """
-    s = as_matrix(matrix, "matrix")
+    s = as_array(matrix, "matrix", 2)
     d = s.shape[0]
     if s.shape[1] != d:
         raise DataError(f"matrix must be square, got shape {s.shape}")

@@ -12,7 +12,7 @@ import numpy as np
 
 from .embeddings import EmbeddingSet, TrialList, read_table, write_table
 from .errors import DataError, NumericalError
-from .linalg import as_int, as_matrix, as_real, as_vector, check_finite, frozen
+from .linalg import as_array, as_int, as_real, check_finite, frozen
 from .space import VariabilitySpace
 from .subspace import BACKWARD, FORWARD, SWEEP_FAMILIES, SubspaceSpec, resolve_indices
 
@@ -57,8 +57,8 @@ def _cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def cosine(a, b) -> float:
     """Cosine similarity, clamped to [-1, 1]. Both vectors must be nonzero.
     A one-row call of the kernel that :func:`score_trials` uses."""
-    va = as_vector(a, "cosine operand")
-    vb = as_vector(b, "cosine operand")
+    va = as_array(a, "cosine operand", 1)
+    vb = as_array(b, "cosine operand", 1)
     if va.shape != vb.shape:
         raise DataError(f"cosine dimension mismatch: {va.shape} vs {vb.shape}")
     return float(_cosine_rows(va.reshape(1, -1), vb.reshape(1, -1))[0])
@@ -126,7 +126,7 @@ def score_trials(
     preserved. Unresolvable ids abort, naming the trial's source line."""
     speakers = list(enrollments)
     which, rows = _resolve_trials(trials, {s: i for i, s in enumerate(speakers)}, test_set)
-    models = as_matrix([enrollments[s] for s in speakers], "enrollment models")
+    models = as_array([enrollments[s] for s in speakers], "enrollment models", 2)
     if models.shape != (len(speakers), test_set.dim):
         raise DataError(
             f"cosine dimension mismatch: models {models.shape[1:]} vs tests ({test_set.dim},)"

@@ -18,7 +18,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .embeddings import EmbeddingSet, read_table, write_table
 from .errors import DataError, FormatError
-from .linalg import as_int, as_real, as_vector, check_finite, covariance, eig_sym, frozen
+from .linalg import as_array, as_int, as_real, check_finite, covariance, eig_sym, frozen
 
 SPACE_MAGIC = b"VSP1"
 SPACE_VERSION = 1
@@ -124,7 +124,7 @@ def fit(embeddings: EmbeddingSet) -> VariabilitySpace:
 def project(space: VariabilitySpace, x) -> np.ndarray:
     """Coefficients of the raw embedding ``x`` (no mean subtraction) in the
     space's basis."""
-    vec = as_vector(x, "embedding")
+    vec = as_array(x, "embedding", 1)
     if vec.size != space.dim:
         raise DataError(f"embedding dimension {vec.size} != space dimension {space.dim}")
     coeff = space.basis.T @ vec
@@ -135,7 +135,7 @@ def project(space: VariabilitySpace, x) -> np.ndarray:
 @np.errstate(over="ignore", invalid="ignore")
 def reconstruct(space: VariabilitySpace, coefficients) -> np.ndarray:
     """Embedding synthesized from a coefficient vector: basis @ coefficients."""
-    coeff = as_vector(coefficients, "coefficients")
+    coeff = as_array(coefficients, "coefficients", 1)
     if coeff.size != space.dim:
         raise DataError(
             f"coefficient dimension {coeff.size} != space dimension {space.dim}"

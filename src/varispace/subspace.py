@@ -15,7 +15,7 @@ import numpy as np
 
 from .embeddings import EmbeddingSet
 from .errors import DataError
-from .linalg import as_int, as_vector, check_finite
+from .linalg import as_array, as_int, check_finite
 from .space import VariabilitySpace
 
 FORWARD = "+"
@@ -137,7 +137,7 @@ def modify(space: VariabilitySpace, x, spec: SubspaceSpec) -> tuple[np.ndarray, 
     energy removed. A size-0 spec returns an exact copy of the input.
     """
     indices = resolve_indices(spec, space.dim)
-    vec = as_vector(x, "embedding")
+    vec = as_array(x, "embedding", 1)
     if vec.size != space.dim:
         raise DataError(f"embedding dimension {vec.size} != space dimension {space.dim}")
     rows, removed = _remove_block(space, vec[np.newaxis], indices)

@@ -30,7 +30,7 @@ from varispace import (
     score_trials,
 )
 from varispace.embeddings import open_text
-from varispace.linalg import SYMMETRY_RTOL, as_matrix, fix_eigvec_signs
+from varispace.linalg import SYMMETRY_RTOL, as_array, fix_eigvec_signs
 
 
 def direct_covariance(rows: list[np.ndarray]) -> np.ndarray:
@@ -98,7 +98,7 @@ def jacobi_eig_oracle(
         If the off-diagonal mass has not met the target after ``max_sweeps``
         sweeps.
     """
-    s = as_matrix(matrix, "matrix")
+    s = as_array(matrix, "matrix", 2)
     d = s.shape[0]
     if s.shape[1] != d:
         raise DataError(f"matrix must be square, got shape {s.shape}")
@@ -504,7 +504,7 @@ def embedding_set_oracle(utt_ids, spk_ids, vectors):
     vectors and speaker rows."""
     utt_ids = tuple(utt_ids)
     spk_ids = tuple(spk_ids)
-    vectors = as_matrix(vectors, "embedding vectors")
+    vectors = as_array(vectors, "embedding vectors", 2)
     if len(utt_ids) != len(vectors) or len(spk_ids) != len(vectors):
         raise DataError("id lists and vector rows disagree in length")
     row_of, speaker_rows = {}, {}

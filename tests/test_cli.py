@@ -168,6 +168,21 @@ class TestOutOfMemory:
         assert captured.err == f"error:data:out of memory: {message or 'allocation failed'}\n"
         assert not (workdir / "out").exists()
 
+    def test_while_reading_a_csv(self, workdir, monkeypatch, capsys):
+        # the failed np.loadtxt pass is not a verdict on the file, so the row
+        # reader does not read it again
+        def exhausted(*args, **kwargs):
+            raise MemoryError("stand-in")
+
+        monkeypatch.setattr("varispace.embeddings.np.loadtxt", exhausted)
+        capsys.readouterr()
+        argv = ["fit", "--embeddings", str(workdir / "emb.csv"), "--out", str(workdir / "out")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error:data:out of memory: stand-in\n"
+        assert not (workdir / "out").exists()
+
 
 class TestSpectrum:
     def test_row_count_and_delta_column(self, workdir):

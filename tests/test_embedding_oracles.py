@@ -215,6 +215,10 @@ def plain_set(n=4000, d=128):
     return EmbeddingSet(utts, spks, rng.standard_normal((n, d)) * 10.0 ** rng.integers(-300, 300, (n, d)))
 
 
+def refuse_row_reader(source):
+    raise AssertionError("the row reader ran")
+
+
 @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
 def test_written_csv_loads_without_the_row_reader(tmp_path, monkeypatch, end):
     emb = plain_set(n=200, d=16)
@@ -225,14 +229,25 @@ def test_written_csv_loads_without_the_row_reader(tmp_path, monkeypatch, end):
     path.write_text(end.join(lines[:50] + ["", ""] + lines[50:] + [""]), encoding="utf-8",
                     newline="")
 
-    def refuse(source):
-        raise AssertionError("the row reader ran")
-
-    monkeypatch.setattr(embeddings, "_load_csv_rows", refuse)
+    monkeypatch.setattr(embeddings, "_load_csv_rows", refuse_row_reader)
     got = load_embeddings(path)
     assert got.utt_ids == emb.utt_ids
     assert got.spk_ids == emb.spk_ids
     assert got.vectors.tobytes() == emb.vectors.tobytes()
+
+
+@pytest.mark.parametrize("error", [MemoryError, OSError])
+def test_csv_errors_other_than_value_errors_skip_the_row_reader(tmp_path, monkeypatch, error):
+    # only a file the np.loadtxt pass rejects is read again row by row
+    save_embeddings(plain_set(n=20, d=4), tmp_path / "emb.csv")
+
+    def fail(*args, **kwargs):
+        raise error("stand-in")
+
+    monkeypatch.setattr(embeddings.np, "loadtxt", fail)
+    monkeypatch.setattr(embeddings, "_load_csv_rows", refuse_row_reader)
+    with pytest.raises(error, match="^stand-in$"):
+        load_embeddings(tmp_path / "emb.csv")
 
 
 @pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])

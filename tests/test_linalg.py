@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import cofactor_det, direct_covariance, eig2x2_charpoly, jacobi_eig_oracle
-from varispace import DataError, NumericalError, covariance, eig_sym
+from varispace import DataError, EmbeddingSet, NumericalError, cosine, covariance, eig_sym
 from varispace.linalg import fix_eigvec_signs
 
 
@@ -54,6 +54,53 @@ class TestCovariance:
         data = np.array([[1e200, 1.0], [-1e200, 2.0], [3e199, 0.5]])
         with pytest.raises(NumericalError, match="overflows"):
             covariance(data)
+
+
+def numpy_reason(values):
+    """What numpy says when ``values`` cannot become a float64 array."""
+    with pytest.raises((TypeError, ValueError)) as err:
+        np.asarray(values, dtype=np.float64)
+    return str(err.value)
+
+
+def first_cosine_operand(values):
+    return cosine(values, [1.0, 0.0])
+
+
+def embedding_vectors(values):
+    return EmbeddingSet(("u",), ("s",), values)
+
+
+class TestArrayChecks:
+    """Each of ``as_array``'s four messages per rank, in full, through public
+    entry points; ``{numpy}`` stands for numpy's own reason."""
+
+    @pytest.mark.parametrize("check, values, message", [
+        (first_cosine_operand, ["x", 1.0], "cosine operand is not a numeric vector: {numpy}"),
+        (first_cosine_operand, [[1.0], [0.0, 1.0]],
+         "cosine operand is not a numeric vector: {numpy}"),
+        (first_cosine_operand, [[1.0, 0.0]], "cosine operand must be one-dimensional, got shape (1, 2)"),
+        (first_cosine_operand, 1.0, "cosine operand must be one-dimensional, got shape ()"),
+        (first_cosine_operand, [], "cosine operand must have at least one entry"),
+        (first_cosine_operand, [1.0, np.nan], "cosine operand contains a non-finite entry"),
+        (covariance, [[1.0, 2.0], [3.0]], "observations is not a numeric matrix: {numpy}"),
+        (covariance, [[1.0, "x"], [3.0, 4.0]], "observations is not a numeric matrix: {numpy}"),
+        (covariance, [1.0, 2.0], "observations must be two-dimensional, got shape (2,)"),
+        (covariance, np.zeros((0, 2)), "observations must have at least one row and one column"),
+        (covariance, np.zeros((2, 0)), "observations must have at least one row and one column"),
+        (covariance, [[1.0, np.inf], [0.0, 0.0]], "observations contains a non-finite entry"),
+        (embedding_vectors, [["1", "a"]], "embedding vectors is not a numeric matrix: {numpy}"),
+        (embedding_vectors, np.zeros((1, 1, 1)),
+         "embedding vectors must be two-dimensional, got shape (1, 1, 1)"),
+        (embedding_vectors, [[]], "embedding vectors must have at least one row and one column"),
+        (embedding_vectors, [[-np.inf]], "embedding vectors contains a non-finite entry"),
+    ])
+    def test_message(self, check, values, message):
+        if "{numpy}" in message:
+            message = message.replace("{numpy}", numpy_reason(values))
+        with pytest.raises(DataError) as err:
+            check(values)
+        assert str(err.value) == message
 
 
 class TestEigSym:
