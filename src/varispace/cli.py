@@ -132,16 +132,12 @@ def _cmd_sweep(args) -> int:
     space = load_space(args.space)
     embeddings = load_embeddings(args.embeddings)
     trials = load_trials(args.trials)
-    sizes = _parse_k_range(args.k)
-    # before run_sweep expands the range: its bounds can be any integer
-    if sizes[-1] > space.dim:
-        raise DataError(f"sweep size {sizes[-1]} exceeds the space dimension {space.dim}")
     result = run_sweep(
         space,
         embeddings,
         trials,
         family=args.family,
-        k_values=sizes,
+        k_values=_parse_k_range(args.k),
         turning_dim=args.turning,
         clean_enrollment=args.clean_enroll,
     )
@@ -263,7 +259,3 @@ def main(argv=None) -> int:
         detail = _one_line(exc) or "allocation failed"
         print(f"error:data:out of memory: {detail}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

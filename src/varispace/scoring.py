@@ -244,28 +244,29 @@ def run_sweep(
             raise DataError(
                 f"turning dimension {turning_dim} outside [1, {space.dim}]"
             )
-    sizes = [as_int(k, "sweep size") for k in k_values]
-    if not sizes:
-        raise DataError("sweep needs at least one size")
     start, direction = {
         "primary": (1, FORWARD),
         "secondary": (turning_dim, BACKWARD),
         "residual": (space.dim, BACKWARD),
     }[family]
-    blocks = []
-    for k in sizes:
-        if k < 0:
-            raise DataError(f"sweep size {k} is negative")
+    # sizes are read one at a time, so a bad one stops an unbounded range
+    sizes, blocks = [], []
+    for k in k_values:
         try:
-            indices = resolve_indices(SubspaceSpec(start, k, direction, family), space.dim)
+            spec = SubspaceSpec(start, k, direction, family)
+            indices = resolve_indices(spec, space.dim)
         except DataError as exc:
             raise DataError(f"size {k} unresolvable: {exc}") from None
-        if k == space.dim:
+        if spec.size == space.dim:
             raise DataError(
-                f"sweep size {k} removes all {space.dim} dimensions, leaving nothing to score"
+                f"sweep size {spec.size} removes all {space.dim} dimensions, "
+                "leaving nothing to score"
             )
+        sizes.append(spec.size)
         # 0-based half-open coefficient range the block removes
         blocks.append((indices[0] - 1, indices[-1]) if indices else (0, 0))
+    if not sizes:
+        raise DataError("sweep needs at least one size")
 
     speakers = sorted({t.enroll_speaker for t in trials} & set(embeddings.speakers()))
     which, rows = _resolve_trials(trials, {s: i for i, s in enumerate(speakers)}, embeddings)

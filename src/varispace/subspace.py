@@ -24,7 +24,6 @@ SWEEP_FAMILIES = ("primary", "secondary", "residual")
 FAMILIES = (*SWEEP_FAMILIES, "custom")
 
 _SPEC_GRAMMAR = "[family:]<start>:<size>:<+|->"
-_ENERGY_OVERFLOW = "removed energy overflows float64"
 
 
 @dataclass(frozen=True)
@@ -109,15 +108,16 @@ def resolve_indices(spec: SubspaceSpec, dim: int) -> tuple[int, ...]:
 
 
 # Finite inputs can overflow float64 in the products below; the kernel rejects
-# non-finite rows, and modify and modify_batch_with_energy non-finite energies.
+# non-finite rows and non-finite removed energies.
 @np.errstate(over="ignore", invalid="ignore")
 def _remove_block(
     space: VariabilitySpace, rows: np.ndarray, indices: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
     """The one modification kernel: ``rows - (rows B_S) B_S^T`` for an (N, D)
     matrix, where ``B_S`` holds the basis columns at ``indices``. Returns the
-    modified rows and each row's removed energy (inf if it overflows). An
-    empty block subtracts exact zeros, which returns the rows bit for bit."""
+    modified rows and each row's removed energy; NumericalError if either
+    overflows float64. An empty block subtracts exact zeros, which returns
+    the rows bit for bit."""
     block = space.basis[:, [i - 1 for i in indices]]
     # einsum sums each coefficient in the same order whatever the row count
     # (a matmul would switch between gemv and gemm), so a one-row call
@@ -126,7 +126,9 @@ def _remove_block(
     modified = coeff @ block.T
     np.subtract(rows, modified, out=modified)
     check_finite("modified embeddings overflow float64", modified)
-    return modified, np.einsum("nk,nk->n", coeff, coeff)
+    removed = np.einsum("nk,nk->n", coeff, coeff)
+    check_finite("removed energy overflows float64", removed)
+    return modified, removed
 
 
 def modify(space: VariabilitySpace, x, spec: SubspaceSpec) -> tuple[np.ndarray, float]:
@@ -141,7 +143,6 @@ def modify(space: VariabilitySpace, x, spec: SubspaceSpec) -> tuple[np.ndarray, 
     if vec.size != space.dim:
         raise DataError(f"embedding dimension {vec.size} != space dimension {space.dim}")
     rows, removed = _remove_block(space, vec[np.newaxis], indices)
-    check_finite(_ENERGY_OVERFLOW, removed)
     return rows[0], float(removed[0])
 
 
@@ -149,21 +150,14 @@ def modify_batch(
     space: VariabilitySpace, embeddings: EmbeddingSet, spec: SubspaceSpec
 ) -> EmbeddingSet:
     """:func:`modify` applied to every row of a set at once; ids and order
-    are preserved. Only an overflowing modified row raises."""
-    return _modify_set(space, embeddings, spec)[0]
+    are preserved."""
+    return modify_batch_with_energy(space, embeddings, spec)[0]
 
 
 def modify_batch_with_energy(
     space: VariabilitySpace, embeddings: EmbeddingSet, spec: SubspaceSpec
 ) -> tuple[EmbeddingSet, np.ndarray]:
-    """:func:`modify_batch` plus each row's removed energy, which raises
-    NumericalError if it overflows float64."""
-    modified, removed = _modify_set(space, embeddings, spec)
-    check_finite(_ENERGY_OVERFLOW, removed)
-    return modified, removed
-
-
-def _modify_set(space, embeddings, spec) -> tuple[EmbeddingSet, np.ndarray]:
+    """:func:`modify_batch` plus each row's removed energy."""
     indices = resolve_indices(spec, space.dim)
     if embeddings.dim != space.dim:
         # every row shares the dimension, so the first one is where it fails

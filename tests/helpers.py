@@ -12,6 +12,7 @@ import math
 import struct
 
 import numpy as np
+import pytest
 
 from varispace import (
     CounterRng,
@@ -31,6 +32,13 @@ from varispace import (
 )
 from varispace.embeddings import open_text
 from varispace.linalg import SYMMETRY_RTOL, as_array, fix_eigvec_signs
+
+
+def assert_raises_exactly(call, error: type, message: str) -> None:
+    """``call()`` raises ``error`` itself, not a subclass, with ``message``."""
+    with pytest.raises(error) as caught:
+        call()
+    assert (type(caught.value), str(caught.value)) == (error, message)
 
 
 def direct_covariance(rows: list[np.ndarray]) -> np.ndarray:

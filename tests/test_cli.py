@@ -1,11 +1,17 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import deltas_to_eigenvalues, plant_deltas
+from helpers import assert_raises_exactly, deltas_to_eigenvalues, plant_deltas
 from varispace import (
+    DataError,
     EmbeddingSet,
+    __version__,
     VariabilitySpace,
     load_embeddings,
     make_trials,
@@ -15,7 +21,7 @@ from varispace import (
     save_space,
     save_trials,
 )
-from varispace.cli import main
+from varispace.cli import _parse_k_range, main
 
 
 POP_CONFIG = """\
@@ -444,14 +450,14 @@ class TestSweep:
         assert capsys.readouterr().err.startswith("error:data:")
 
     def test_size_above_dimension_rejected_before_expansion(self, workdir, capsys):
-        # the range is never expanded: 10^19 sizes would not fit in memory
+        # sizes are read one at a time: the first bad one stops the 10^19-long range
         assert main(["sweep", "--space", str(workdir / "space.vsp"),
                      "--embeddings", str(workdir / "emb.csv"),
                      "--trials", str(workdir / "trials.txt"),
                      "--family", "primary", "--k", "0:10000000000000000000:1",
                      "--out", str(workdir / "s.csv")]) == 1
         assert capsys.readouterr().err == (
-            "error:data:sweep size 10000000000000000000 exceeds the space dimension 8\n"
+            "error:data:sweep size 8 removes all 8 dimensions, leaving nothing to score\n"
         )
         assert not (workdir / "s.csv").exists()
 
@@ -526,3 +532,44 @@ class TestUsageErrors:
         assert main(["fit", "--embeddings", str(workdir / "emb.csv"),
                      "--out", str(workdir / "x.vsp")]) == 2
         assert capsys.readouterr().err.startswith("error:numerical:")
+
+
+class TestModuleEntryPoint:
+    """``python -m varispace`` in its own process: ``__main__`` passes main's
+    exit code to the shell."""
+
+    @staticmethod
+    def _run(*argv, cwd):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        return subprocess.run([sys.executable, "-m", "varispace", *argv], cwd=cwd, env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_version(self, tmp_path):
+        proc = self._run("--version", cwd=tmp_path)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"varispace {__version__}\n", "")
+
+    def test_usage_error_is_one_data_line(self, tmp_path):
+        proc = self._run("fit", "--embeddings", "emb.csv", cwd=tmp_path)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error:data:the following arguments are required: --out\n"
+
+    def test_missing_input_is_an_io_error(self, tmp_path):
+        proc = self._run("fit", "--embeddings", "absent.csv", "--out", "s.vsp", cwd=tmp_path)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr.startswith("error:io:") and proc.stderr.count("\n") == 1
+        assert not (tmp_path / "s.vsp").exists()
+
+
+# each raise branch no other test reaches: the call, its error, its message
+RAISES = {
+    "k-range-field-count": (lambda: _parse_k_range("0:8"), DataError,
+                            "bad size range '0:8': expected <first>:<last>:<step>"),
+    "k-range-not-integer": (lambda: _parse_k_range("0:x:1"), DataError,
+                            "bad size range '0:x:1': fields must be integers"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", RAISES.values(), ids=RAISES.keys())
+def test_raise_branch_message(call, error, message):
+    assert_raises_exactly(call, error, message)

@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from helpers import emb1_blob
+from helpers import assert_raises_exactly, emb1_blob
 from varispace import (
     DataError,
     EmbeddingSet,
@@ -483,3 +483,18 @@ def test_oversized_csv_field_is_format_error(tmp_path, name):
     path.write_bytes(prefix + b"x" * 200_000 + b",1\n")
     with pytest.raises(FormatError, match="field larger than field limit"):
         loader(path)
+
+
+# each raise branch no other test reaches: the call, its error, its message
+RAISES = {
+    "save-unknown-format": (
+        lambda tmp: save_embeddings(_sample_set(np.random.default_rng(1)), tmp / "e", "hdf5"),
+        DataError, "unknown embeddings format 'hdf5'",
+    ),
+    "trial-list-empty": (lambda tmp: TrialList(()), DataError, "trial list is empty"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", RAISES.values(), ids=RAISES.keys())
+def test_raise_branch_message(call, error, message, tmp_path):
+    assert_raises_exactly(lambda: call(tmp_path), error, message)

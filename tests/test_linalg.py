@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from helpers import cofactor_det, direct_covariance, eig2x2_charpoly, jacobi_eig_oracle
+from helpers import (
+    assert_raises_exactly,
+    cofactor_det,
+    direct_covariance,
+    eig2x2_charpoly,
+    jacobi_eig_oracle,
+)
 from varispace import DataError, EmbeddingSet, NumericalError, cosine, covariance, eig_sym
 from varispace.linalg import fix_eigvec_signs
 
@@ -222,3 +228,15 @@ class TestJacobiOracle:
         s = 0.5 * (m + m.T)
         with pytest.raises(NumericalError):
             jacobi_eig_oracle(s, max_sweeps=1)
+
+
+# each raise branch no other test reaches: the call, its error, its message
+RAISES = {
+    "eig-not-square": (lambda: eig_sym(np.ones((2, 3))), DataError,
+                       "matrix must be square, got shape (2, 3)"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", RAISES.values(), ids=RAISES.keys())
+def test_raise_branch_message(call, error, message):
+    assert_raises_exactly(call, error, message)

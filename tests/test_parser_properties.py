@@ -26,9 +26,11 @@ from varispace import (
     VarispaceError,
     cosine,
     fit,
+    generate,
     load_embeddings,
     load_space,
     load_trials,
+    make_trials,
     modify,
     parse_population_config,
     parse_spec,
@@ -36,6 +38,9 @@ from varispace import (
     read_spectrum_csv,
     read_sweep_csv,
     reconstruct,
+    save_embeddings,
+    save_space,
+    save_trials,
 )
 from varispace.cli import main
 
@@ -148,6 +153,82 @@ def test_cli_fit_prints_one_error_line(tmp_path, contents):
     else:
         assert code in (1, 2, 3)
         assert len(lines) == 1 and lines[0].startswith("error:"), lines
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """The bytes of one valid input of each kind: a 6-speaker, 8-dim
+    population as CSV and as binary, its fitted space and a trial list."""
+    work = tmp_path_factory.mktemp("valid")
+    emb = generate(parse_population_config(
+        "n_speakers=6\nutts_per_speaker=5\ndim=8\nbetween=0.9x3,0.0x5\nwithin=0.1x8\nseed=42"
+    ))
+    save_embeddings(emb, work / "emb.csv")
+    save_embeddings(emb, work / "emb.bin", format="binary")
+    save_space(fit(emb), work / "space.vsp")
+    save_trials(make_trials(emb, 40, seed=9), work / "trials.txt")
+    return {name: (work / name).read_bytes() for name in CLI_INPUTS}
+
+
+CLI_INPUTS = ("emb.csv", "emb.bin", "space.vsp", "trials.txt")
+# every subcommand form that reads an input file, ``{}`` being the work directory
+_SWEEP = "sweep --space {0}/space.vsp --embeddings {0}/emb.csv --trials {0}/trials.txt"
+CLI_FORMS = (
+    "fit --embeddings {0}/emb.csv --out {0}/out.vsp",
+    "fit --embeddings {0}/emb.bin --out {0}/out.vsp",
+    "spectrum --space {0}/space.vsp --out {0}/out.csv",
+    "detect-knee --space {0}/space.vsp --window 2",
+    "modify --space {0}/space.vsp --embeddings {0}/emb.csv --spec secondary:5:2:- --out {0}/o.csv",
+    "modify --space {0}/space.vsp --embeddings {0}/emb.bin --spec primary:1:3:+ --out {0}/o.bin",
+    "eer --enroll {0}/emb.csv --test {0}/emb.bin --trials {0}/trials.txt",
+    _SWEEP + " --family primary --k 0:6:3 --out {0}/s.csv",
+    _SWEEP + " --family secondary --is 5 --k 0:4:2 --out {0}/s.csv",
+    _SWEEP + " --family residual --k 1:7:3 --clean-enroll --out {0}/s.csv",
+)
+EXIT_CATEGORIES = {1: "data", 2: "numerical", 3: "io"}
+# values and ids of the population that, inserted anywhere, reach deeper checks
+INSERTS = (b"nan", b"inf", b"1e308", b'"', b"\x00", b"\xff", b"spk1", b"spk2_utt3", b" ")
+
+
+@st.composite
+def mutations(draw):
+    """(input name, function of its valid bytes): a truncation, a byte flip or an
+    insertion at one offset."""
+    name = draw(st.sampled_from(CLI_INPUTS))
+    at, flip = draw(st.floats(0.0, 1.0)), draw(st.integers(1, 255))
+    kind = draw(st.sampled_from(["truncate", "flip", "insert"]))
+    insert = draw(st.sampled_from(INSERTS))
+
+    def mutate(data):
+        i = int(at * (len(data) - 1))
+        if kind == "truncate":
+            return data[:i]
+        if kind == "flip":
+            return data[:i] + bytes([data[i] ^ flip]) + data[i + 1:]
+        return data[:i] + insert + data[i:]
+
+    return name, mutate
+
+
+@settings(PROPERTY, max_examples=30)
+@given(mutation=mutations())
+def test_every_cli_form_exits_cleanly_on_a_mutated_input(tmp_path, valid_inputs, mutation):
+    """Exit 0 with at most ``warning:`` lines on stderr, or exit 1, 2 or 3 with
+    exactly one ``error:<category>:`` line, never a traceback."""
+    name, mutate = mutation
+    for each, data in valid_inputs.items():
+        (tmp_path / each).write_bytes(mutate(data) if each == name else data)
+    for form in CLI_FORMS:
+        stderr = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+            code = main(form.format(tmp_path).split())
+        lines = stderr.getvalue().splitlines()
+        if code == 0:
+            assert all(line.startswith("warning:") for line in lines), (form, lines)
+        else:
+            assert code in EXIT_CATEGORIES, (form, code)
+            assert len(lines) == 1, (form, lines)
+            assert lines[0].startswith(f"error:{EXIT_CATEGORIES[code]}:"), (form, lines)
 
 
 SPACE = fit(EmbeddingSet(("a", "b", "c"), ("s", "s", "t"), [[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]]))

@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from helpers import exhaustive_eer_percent
+from helpers import assert_raises_exactly, exhaustive_eer_percent
 from varispace import (
     DataError,
     EmbeddingSet,
@@ -11,6 +13,7 @@ from varispace import (
     SubspaceSpec,
     Trial,
     TrialList,
+    VariabilitySpace,
     build_enrollment,
     compute_eer,
     cosine,
@@ -331,6 +334,19 @@ class TestRunSweep:
             run_sweep(space, emb, _all_trials(emb, rng), family, [0, 8], turning_dim=8)
         assert "sweep size 8 removes all 8 dimensions" in str(err.value)
 
+    def test_sizes_are_read_one_at_a_time(self):
+        rng = np.random.default_rng(16)
+        emb = _population(rng)
+        space = fit(emb)
+
+        def unbounded_sizes():
+            for k in itertools.count():
+                assert k <= space.dim, "sweep read past its first bad size"
+                yield k
+
+        with pytest.raises(DataError, match="sweep size 8 removes all 8 dimensions"):
+            run_sweep(space, emb, _all_trials(emb, rng), "primary", unbounded_sizes())
+
     def test_clean_enrollment_differs(self):
         rng = np.random.default_rng(12)
         emb = _population(rng)
@@ -404,3 +420,44 @@ class TestSweepCsv:
         )
         with pytest.raises(FormatError, match="sweep CSV line 3: .*'a'"):
             read_sweep_csv(path)
+
+
+# an identity basis; speaker 'a' lies wholly in dimension 1, 'b' outside it
+AXIS_SPACE = VariabilitySpace(np.zeros(3), np.eye(3), [3.0, 2.0, 1.0])
+AXIS_SET = _set(["u1", "u2", "u3", "u4"], ["a", "a", "b", "b"],
+                [[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+AXIS_TRIALS = TrialList((Trial("a", "u3", False), Trial("b", "u4", True)))
+AXIS = (AXIS_SPACE, AXIS_SET, AXIS_TRIALS)
+
+# each raise branch no other test reaches: the call, its error, its message
+RAISES = {
+    "score-model-dimension": (
+        lambda: score_trials({"a": np.ones(2), "b": np.ones(2)}, AXIS_SET, AXIS_TRIALS),
+        DataError, "cosine dimension mismatch: models (2,) vs tests (3,)",
+    ),
+    "sweep-unknown-family": (lambda: run_sweep(*AXIS, "custom", [0]), DataError,
+                             "unknown sweep family 'custom'"),
+    "sweep-dimension": (
+        lambda: run_sweep(AXIS_SPACE, _set(["u1"], ["a"], [[1.0, 0.0]]), AXIS_TRIALS,
+                          "primary", [0]),
+        DataError, "embedding dimension 2 != space dimension 3",
+    ),
+    "sweep-turning-below-one": (
+        lambda: run_sweep(*AXIS, "secondary", [0], turning_dim=0), DataError,
+        "turning dimension 0 outside [1, 3]",
+    ),
+    "sweep-turning-above-dim": (
+        lambda: run_sweep(*AXIS, "secondary", [0], turning_dim=4), DataError,
+        "turning dimension 4 outside [1, 3]",
+    ),
+    "sweep-no-sizes": (lambda: run_sweep(*AXIS, "primary", []), DataError,
+                       "sweep needs at least one size"),
+    # K=0 scores; K=1 removes all of speaker 'a'
+    "sweep-zero-model-at-k": (lambda: run_sweep(*AXIS, "primary", [0, 1]), DataError,
+                              "speaker 'a' has a zero-mean enrollment model"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", RAISES.values(), ids=RAISES.keys())
+def test_raise_branch_message(call, error, message):
+    assert_raises_exactly(call, error, message)

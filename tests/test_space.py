@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import deltas_to_eigenvalues, plant_deltas, scan_turning, turning_flags
+from helpers import (
+    assert_raises_exactly,
+    deltas_to_eigenvalues,
+    plant_deltas,
+    scan_turning,
+    turning_flags,
+)
 from varispace import (
     DataError,
     DeltaSpectrum,
@@ -441,3 +447,35 @@ class TestVariabilitySpaceValidation:
         lam = deltas_to_eigenvalues(values)
         space = _space_with_eigenvalues(lam)
         assert delta_spectrum(space).values == pytest.approx(values, abs=1e-12)
+
+
+def _spectrum_file(tmp_path, body):
+    path = tmp_path / "spectrum.csv"
+    path.write_text("index,log_eigenvalue,delta\n" + body)
+    return path
+
+
+DELTAS = DeltaSpectrum([-0.5, -0.25, -0.125, -0.0625], 1e-12)
+
+# each raise branch no other test reaches: the call, its error, its message
+RAISES = {
+    "turning-window-below-one": (lambda tmp: detect_turning(DELTAS, window=0), DataError,
+                                 "window must be >= 1"),
+    "turning-zero-tolerance": (lambda tmp: detect_turning(DELTAS, oscillation_tol=0.0),
+                               DataError, "oscillation tolerance must be positive"),
+    "turning-negative-tolerance": (lambda tmp: detect_turning(DELTAS, oscillation_tol=-0.1),
+                                   DataError, "oscillation tolerance must be positive"),
+    "spectrum-index-order": (
+        lambda tmp: read_spectrum_csv(_spectrum_file(tmp, "1,0.5,-0.1\n3,0.4,\n")),
+        FormatError, "spectrum CSV line 3: index out of order",
+    ),
+    "spectrum-empty-delta-not-last": (
+        lambda tmp: read_spectrum_csv(_spectrum_file(tmp, "1,0.5,\n2,0.4,\n")),
+        FormatError, "spectrum CSV line 2: delta must be empty on the last row only",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error, message", RAISES.values(), ids=RAISES.keys())
+def test_raise_branch_message(call, error, message, tmp_path):
+    assert_raises_exactly(lambda: call(tmp_path), error, message)

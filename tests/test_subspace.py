@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import assert_raises_exactly
 from varispace import (
     DataError,
     EmbeddingSet,
@@ -267,9 +268,9 @@ class TestOverflow:
         batch = EmbeddingSet(("u1", "u2"), ("a", "a"), [[1e200, -1e200], [1.0, 2.0]])
         with pytest.raises(NumericalError, match="removed energy overflows float64"):
             modify_batch_with_energy(_identity_space(2), batch, SubspaceSpec(1, 1, "+"))
-        # without the energy only the modified rows count, and they are finite
-        out = modify_batch(_identity_space(2), batch, SubspaceSpec(1, 1, "+"))
-        assert out.vectors.tolist() == [[0.0, -1e200], [0.0, 2.0]]
+        # the kernel checks the energy, so the set-only call fails the same way
+        with pytest.raises(NumericalError, match="removed energy overflows float64"):
+            modify_batch(_identity_space(2), batch, SubspaceSpec(1, 1, "+"))
 
     @pytest.mark.parametrize("call", [modify, lambda space, x, spec: modify_batch(
         space, EmbeddingSet(("u",), ("a",), [x]), spec)], ids=["modify", "modify_batch"])
@@ -303,3 +304,15 @@ class TestSpecValidation:
     def test_text_round_trip(self):
         spec = SubspaceSpec(200, 45, "-", family="secondary")
         assert parse_spec(str(spec)) == spec
+
+
+# each raise branch no other test reaches: the call, its error, its message
+RAISES = {
+    "resolve-dim-below-one": (lambda: resolve_indices(SubspaceSpec(1, 1, "+"), 0), DataError,
+                              "dimension must be >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", RAISES.values(), ids=RAISES.keys())
+def test_raise_branch_message(call, error, message):
+    assert_raises_exactly(call, error, message)

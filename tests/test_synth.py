@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_eer, brute_eig, eig2x2_charpoly, make_trials_oracle
+from helpers import assert_raises_exactly, brute_eer, brute_eig, eig2x2_charpoly, make_trials_oracle
 from varispace import (
     CounterRng,
     DataError,
@@ -315,3 +315,44 @@ class TestBruteEer:
     def test_missing_class(self):
         with pytest.raises(DataError):
             brute_eer(ScoredTrials(np.array([0.1]), np.array([True])))
+
+
+_CONFIG_TEXT = "n_speakers=2\nutts_per_speaker=2\ndim=2\nwithin=0.1x2\nseed=1\n"
+
+
+def _between(tokens):
+    return lambda: parse_population_config(_CONFIG_TEXT + f"between={tokens}\n")
+
+
+def _two_speakers():
+    return EmbeddingSet(("u1", "u2"), ("a", "b"), [[1.0, 0.0], [0.0, 1.0]])
+
+
+# each raise branch no other test reaches: the call, its error, its message
+RAISES = {
+    "rng-negative-draws": (lambda: CounterRng(1).raw(-1), DataError, "draw count must be >= 0"),
+    "config-seed-negative": (lambda: _config(seed=-1), DataError,
+                             "seed must be an unsigned 64-bit integer"),
+    "config-seed-above-u64": (lambda: _config(seed=2**64), DataError,
+                              "seed must be an unsigned 64-bit integer"),
+    "run-length-empty-token": (_between("0.9,,0.1"), DataError,
+                               "config key 'between': empty run-length token"),
+    "run-length-bad-count": (_between("0.9xa"), DataError,
+                             "config key 'between': bad repeat count in '0.9xa'"),
+    "run-length-zero-count": (_between("0.9x0"), DataError,
+                              "config key 'between': repeat count must be >= 1"),
+    "run-length-bad-value": (_between("ax2"), DataError,
+                             "config key 'between': bad value in 'ax2'"),
+    "config-non-integer-count": (
+        lambda: parse_population_config(
+            _CONFIG_TEXT.replace("n_speakers=2", "n_speakers=two") + "between=1x2\n"),
+        DataError, "config: invalid literal for int() with base 10: 'two'",
+    ),
+    "make-trials-no-nontarget": (lambda: make_trials(_two_speakers(), 0, seed=1), DataError,
+                                 "need at least one nontarget trial"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", RAISES.values(), ids=RAISES.keys())
+def test_raise_branch_message(call, error, message):
+    assert_raises_exactly(call, error, message)
