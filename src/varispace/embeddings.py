@@ -23,7 +23,7 @@ EMBEDDINGS_VERSION = 1
 _CSV_LIMIT = 131072
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddingSet:
     """Ordered collection of (utterance id, speaker id, vector) records with
     unique utterance ids and a uniform dimension. Vectors are stored as a
@@ -87,12 +87,12 @@ class EmbeddingSet:
 
 
 @contextmanager
-def open_text(source, newline=None):
-    """Open a UTF-8 text file for reading. Bytes that are not UTF-8 raise
-    FormatError naming the file and the byte offset of the first bad one;
-    so does a ``csv`` parse error (such as a field over its size limit)."""
+def open_text(source):
+    """Open a UTF-8 text file for reading, its line ends kept. Bytes that are
+    not UTF-8 raise FormatError naming the file and the byte offset of the
+    first bad one; so does a ``csv`` parse error (such as an oversized field)."""
     try:
-        with open(source, "r", encoding="utf-8", newline=newline) as fh:
+        with open(source, "r", encoding="utf-8", newline="") as fh:
             yield fh
     except csv.Error as exc:
         raise FormatError(f"{source}: {exc}") from None
@@ -266,7 +266,7 @@ def read_table(source, what: str, header, converters, build=lambda *values: valu
     field by field through ``converters`` and then to ``build``. A bad header,
     field count or value (a ValueError from a converter or ``build``) raises
     FormatError naming ``what`` and the line."""
-    with open_text(source, newline="") as fh:
+    with open_text(source) as fh:
         records = list(_records(csv.reader(fh)))
     if not records or records[0][1] != list(header):
         raise FormatError(f"{what} CSV has a bad header")
@@ -287,6 +287,25 @@ def _records(reader):
     for row in reader:
         yield start, row
         start = reader.line_num + 1
+
+
+def read_binary(source, layout: str, magic: bytes, version: int, what: str):
+    """A binary file's bytes, header size and header fields after the version.
+    The header (``layout``: magic, version, D, ...) is checked in this order:
+    it fits, the magic, the version, D >= 1."""
+    with open(source, "rb") as fh:
+        blob = fh.read()
+    header_size = struct.calcsize(layout)
+    if len(blob) < header_size:
+        raise FormatError(f"{what} file truncated: {len(blob)} bytes")
+    found, found_version, *fields = struct.unpack_from(layout, blob, 0)
+    if found != magic:
+        raise FormatError(f"bad {what} file magic {found!r}, expected {magic!r}")
+    if found_version != version:
+        raise FormatError(f"unsupported {what} file version {found_version}")
+    if fields[0] < 1:
+        raise DataError(f"{what} file declares dimension 0")
+    return blob, header_size, fields
 
 
 def _utf8(value: str) -> bytes:
@@ -389,7 +408,7 @@ def _read_plain_csv(source) -> tuple[list, list, np.ndarray]:
     ``np.loadtxt`` pass, for a body whose lines hold D + 1 commas, none of
     ``_NOT_PLAIN`` and no more than ``_CSV_LIMIT`` characters: there csv's
     fields are the comma-separated pieces. Raises on any other body."""
-    with open_text(source, newline="") as fh:
+    with open_text(source) as fh:
         d = _read_csv_header(csv.reader(fh))
         utts, spks = [], []
 
@@ -421,7 +440,7 @@ def _read_plain_csv(source) -> tuple[list, list, np.ndarray]:
 
 def _load_csv_rows(source) -> EmbeddingSet:
     """The embeddings CSV read row by row through ``csv``."""
-    with open_text(source, newline="") as fh:
+    with open_text(source) as fh:
         reader = csv.reader(fh)
         d = _read_csv_header(reader)
         utts, spks, rows = [], [], []
@@ -470,22 +489,13 @@ def _save_binary(embeddings: EmbeddingSet, destination) -> None:
 
 
 def _load_binary(source) -> EmbeddingSet:
-    with open(source, "rb") as fh:
-        blob = fh.read()
-    header_size = struct.calcsize("<4sIIQ")
-    if len(blob) < header_size:
-        raise FormatError(f"embeddings file truncated: {len(blob)} bytes")
-    # load_embeddings only comes here when the file starts with the magic
-    _, version, d, n = struct.unpack_from("<4sIIQ", blob, 0)
-    if version != EMBEDDINGS_VERSION:
-        raise FormatError(f"unsupported embeddings file version {version}")
-    if d < 1:
-        raise DataError("embeddings file declares dimension 0")
-    # field by field, each in bounds before it is decoded, so a cut inside a
-    # multi-byte id is a truncation; reading past the end is an IndexError
+    blob, offset, (d, n) = read_binary(
+        source, "<4sIIQ", EMBEDDINGS_MAGIC, EMBEDDINGS_VERSION, "embeddings"
+    )
+    # field by field after the header, each in bounds before it is decoded, so
+    # a cut inside a multi-byte id is a truncation; reading past the end is an IndexError
     view = memoryview(blob)
     size, step = len(blob), 4 * d
-    offset = header_size
     utts, spks, vectors = [], [], []
     try:
         for _ in range(n):
@@ -517,12 +527,12 @@ def _load_binary(source) -> EmbeddingSet:
 @dataclass(frozen=True, slots=True)
 class Trial:
     """One verification trial: does ``test_utterance`` belong to
-    ``enroll_speaker``? ``line`` keeps the source line for error reports."""
+    ``enroll_speaker``? ``line`` keeps the source line for error reports; equality ignores it."""
 
     enroll_speaker: str
     test_utterance: str
     target: bool
-    line: int | None = None
+    line: int | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)

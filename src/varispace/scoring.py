@@ -64,7 +64,7 @@ def cosine(a, b) -> float:
     return float(_cosine_rows(va.reshape(1, -1), vb.reshape(1, -1))[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoredTrials:
     """Per-trial cosine scores with their target/nontarget labels."""
 
@@ -232,10 +232,7 @@ def run_sweep(
     """
     if family not in SWEEP_FAMILIES:
         raise DataError(f"unknown sweep family '{family}'")
-    if embeddings.dim != space.dim:
-        raise DataError(
-            f"embedding dimension {embeddings.dim} != space dimension {space.dim}"
-        )
+    space.check_dim(embeddings.dim)
     if family == "secondary":
         if turning_dim is None:
             raise DataError("secondary-family sweeps require the turning dimension")

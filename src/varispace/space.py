@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .embeddings import EmbeddingSet, read_table, write_table
+from .embeddings import EmbeddingSet, read_binary, read_table, write_table
 from .errors import DataError, FormatError
 from .linalg import as_array, as_int, as_real, check_finite, covariance, eig_sym, frozen
 
@@ -26,7 +26,7 @@ SPACE_VERSION = 1
 ORTHONORMALITY_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VariabilitySpace:
     """Immutable fitted variability space.
 
@@ -67,8 +67,13 @@ class VariabilitySpace:
     def dim(self) -> int:
         return self.mean.size
 
+    def check_dim(self, n: int, what: str = "embedding") -> None:
+        """DataError unless an operand of ``n`` dimensions fits the space."""
+        if n != self.dim:
+            raise DataError(f"{what} dimension {n} != space dimension {self.dim}")
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class DeltaSpectrum:
     """Consecutive differences of the floored log-eigenvalue spectrum
     (length D-1), plus the eigenvalue floor that was applied before logs."""
@@ -125,8 +130,7 @@ def project(space: VariabilitySpace, x) -> np.ndarray:
     """Coefficients of the raw embedding ``x`` (no mean subtraction) in the
     space's basis."""
     vec = as_array(x, "embedding", 1)
-    if vec.size != space.dim:
-        raise DataError(f"embedding dimension {vec.size} != space dimension {space.dim}")
+    space.check_dim(vec.size)
     coeff = space.basis.T @ vec
     check_finite("projection overflows float64", coeff)
     return coeff
@@ -136,10 +140,7 @@ def project(space: VariabilitySpace, x) -> np.ndarray:
 def reconstruct(space: VariabilitySpace, coefficients) -> np.ndarray:
     """Embedding synthesized from a coefficient vector: basis @ coefficients."""
     coeff = as_array(coefficients, "coefficients", 1)
-    if coeff.size != space.dim:
-        raise DataError(
-            f"coefficient dimension {coeff.size} != space dimension {space.dim}"
-        )
+    space.check_dim(coeff.size, "coefficient")
     vec = space.basis @ coeff
     check_finite("reconstruction overflows float64", vec)
     return vec
@@ -235,18 +236,7 @@ def save_space(space: VariabilitySpace, destination) -> None:
 
 def load_space(source) -> VariabilitySpace:
     """Read a space file written by :func:`save_space`."""
-    with open(source, "rb") as fh:
-        blob = fh.read()
-    header_size = struct.calcsize("<4sII")
-    if len(blob) < header_size:
-        raise FormatError(f"space file truncated: {len(blob)} bytes")
-    magic, version, d = struct.unpack_from("<4sII", blob, 0)
-    if magic != SPACE_MAGIC:
-        raise FormatError(f"bad space file magic {magic!r}, expected {SPACE_MAGIC!r}")
-    if version != SPACE_VERSION:
-        raise FormatError(f"unsupported space file version {version}")
-    if d < 1:
-        raise DataError("space file declares dimension 0")
+    blob, header_size, (d,) = read_binary(source, "<4sII", SPACE_MAGIC, SPACE_VERSION, "space")
     expected = header_size + 8 * (2 * d + d * d)
     if len(blob) != expected:
         raise FormatError(

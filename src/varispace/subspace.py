@@ -140,8 +140,7 @@ def modify(space: VariabilitySpace, x, spec: SubspaceSpec) -> tuple[np.ndarray, 
     """
     indices = resolve_indices(spec, space.dim)
     vec = as_array(x, "embedding", 1)
-    if vec.size != space.dim:
-        raise DataError(f"embedding dimension {vec.size} != space dimension {space.dim}")
+    space.check_dim(vec.size)
     rows, removed = _remove_block(space, vec[np.newaxis], indices)
     return rows[0], float(removed[0])
 
@@ -159,12 +158,7 @@ def modify_batch_with_energy(
 ) -> tuple[EmbeddingSet, np.ndarray]:
     """:func:`modify_batch` plus each row's removed energy."""
     indices = resolve_indices(spec, space.dim)
-    if embeddings.dim != space.dim:
-        # every row shares the dimension, so the first one is where it fails
-        raise DataError(
-            f"utterance '{embeddings.utt_ids[0]}': embedding dimension "
-            f"{embeddings.dim} != space dimension {space.dim}"
-        )
+    space.check_dim(embeddings.dim)
     rows, removed = _remove_block(space, embeddings.vectors, indices)
     # the input's ids and lookup maps are checked and never mutated, and the
     # kernel's rows are finite: share them rather than validate them again

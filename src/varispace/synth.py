@@ -60,7 +60,7 @@ class CounterRng:
         return radius * np.cos(2.0 * np.pi * u[1::2])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PopulationConfig:
     """Synthetic population: per-dimension speaker-mean variance and
     per-dimension utterance noise variance, both diagonal."""
@@ -78,8 +78,7 @@ class PopulationConfig:
         for name in ("n_speakers", "utts_per_speaker", "dim"):
             if getattr(self, name) < 1:
                 raise DataError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not 0 <= self.seed <= _MASK64:
-            raise DataError("seed must be an unsigned 64-bit integer")
+        CounterRng(self.seed)  # the generator it seeds checks the seed's range
         for name in ("between_variances", "within_variances"):
             arr = frozen(getattr(self, name), name, 1)
             if arr.size != self.dim:

@@ -580,7 +580,7 @@ def load_csv_oracle(source) -> EmbeddingSet:
     """An embeddings CSV read row by row through ``csv``, each row's values
     converted with ``float``: the reader before its ``np.loadtxt`` pass, with
     errors naming the file line a record starts on."""
-    with open_text(source, newline="") as fh:
+    with open_text(source) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

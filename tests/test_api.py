@@ -14,10 +14,12 @@ from varispace import (
     DeltaSpectrum,
     EmbeddingSet,
     PopulationConfig,
+    ScoredTrials,
     SubspaceSpec,
     SweepRow,
     Trial,
     TrialList,
+    VariabilitySpace,
     delta_spectrum,
     detect_turning,
     fit,
@@ -122,3 +124,21 @@ def test_numpy_floats_are_reals():
     assert detect_turning(spectrum, window=2, oscillation_tol=np.float32(0.25)) == detect_turning(
         spectrum, window=2, oscillation_tol=0.25
     )
+
+
+# values that hold float or bool arrays: each call builds a new one, equal in content
+ARRAY_HOLDERS = {
+    "EmbeddingSet": lambda: EmbeddingSet(EMB.utt_ids, EMB.spk_ids, EMB.vectors),
+    "VariabilitySpace": lambda: VariabilitySpace(SPACE.mean, SPACE.basis, SPACE.eigenvalues),
+    "DeltaSpectrum": lambda: DeltaSpectrum([-0.5, -0.25], 1e-12),
+    "ScoredTrials": lambda: ScoredTrials([0.5, -0.5], [True, False]),
+    "PopulationConfig": _config,
+}
+
+
+@pytest.mark.parametrize("build", ARRAY_HOLDERS.values(), ids=ARRAY_HOLDERS.keys())
+def test_array_holding_values_compare_by_identity(build):
+    a, b = build(), build()
+    assert a == a
+    assert a != b
+    assert len({a, b, a}) == 2

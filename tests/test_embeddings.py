@@ -1,4 +1,5 @@
 import struct
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -8,12 +9,15 @@ from varispace import (
     DataError,
     EmbeddingSet,
     FormatError,
+    PopulationConfig,
     Trial,
     TrialList,
     detect_format,
+    generate,
     load_embeddings,
     load_population_config,
     load_trials,
+    make_trials,
     read_spectrum_csv,
     read_sweep_csv,
     save_embeddings,
@@ -339,25 +343,30 @@ class TestBinaryFixtures:
                 load_embeddings(path)
 
     @pytest.mark.parametrize(
-        "blob, error, match",
+        "blob, error, message",
         [
-            (b"EMB1" + struct.pack("<I", 1) + struct.pack("<I", 3), FormatError, "truncated"),
-            (emb1_blob(3, EMB1_RECORDS, version=2), FormatError, "version 2"),
-            (emb1_blob(0, []), DataError, "dimension 0"),
-            (emb1_blob(3, [(b"\xff", "s", [1.0, 2.0, 3.0])]), FormatError, "record corrupt"),
-            (emb1_blob(3, EMB1_RECORDS) + b"\0", FormatError, "1 trailing bytes"),
-            (emb1_blob(3, EMB1_RECORDS, n=2), FormatError, "trailing bytes after 2 records"),
-            (emb1_blob(3, []), DataError, "no records"),
+            (b"EMB1" + struct.pack("<I", 1) + struct.pack("<I", 3), FormatError,
+             "embeddings file truncated: 12 bytes"),
+            (emb1_blob(3, EMB1_RECORDS, version=2), FormatError,
+             "unsupported embeddings file version 2"),
+            (emb1_blob(0, []), DataError, "embeddings file declares dimension 0"),
+            (emb1_blob(3, [(b"\xff", "s", [1.0, 2.0, 3.0])]), FormatError,
+             "embeddings file record corrupt: 'utf-8' codec can't decode byte 0xff in "
+             "position 0: invalid start byte"),
+            (emb1_blob(3, EMB1_RECORDS) + b"\0", FormatError,
+             "embeddings file has 1 trailing bytes after 3 records"),
+            # the third record: two 2-byte lengths, ids of 1 and 4 bytes, 3 floats
+            (emb1_blob(3, EMB1_RECORDS, n=2), FormatError,
+             "embeddings file has 21 trailing bytes after 2 records"),
+            (emb1_blob(3, []), DataError, "embeddings file contains no records"),
         ],
         ids=["short header", "version", "D=0", "bad utf-8", "trailing byte", "N too small",
              "no records"],
     )
-    def test_malformed_file(self, tmp_path, blob, error, match):
+    def test_malformed_file(self, tmp_path, blob, error, message):
         path = tmp_path / "bad.emb"
         path.write_bytes(blob)
-        with pytest.raises(DataError, match=match) as err:
-            load_embeddings(path)
-        assert type(err.value) is error
+        assert_raises_exactly(lambda: load_embeddings(path), error, message)
 
 
 class TestTrials:
@@ -377,6 +386,30 @@ class TestTrials:
         assert loaded.n_nontarget == 2
         assert loaded.entries[0].enroll_speaker == "spk1"
         assert loaded.entries[0].line == 1
+
+    def test_saved_list_loads_back_equal(self, tmp_path):
+        # the source lines a loaded trial keeps take no part in equality
+        emb = generate(PopulationConfig(3, 2, 2, [1.0, 1.0], [0.1, 0.1], seed=7))
+        trials = make_trials(emb, 5, seed=3)
+        path = tmp_path / "trials.txt"
+        save_trials(trials, path)
+        loaded = load_trials(path)
+        assert loaded == trials
+        assert [t.line for t in loaded] == list(range(1, len(trials) + 1))
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_line_ends_read_alike(self, tmp_path, ending):
+        path = tmp_path / "trials.txt"
+        text = "spk1 utt1 target\n\n  spk2 utt2 nontarget \n"
+        path.write_bytes(text.replace("\n", ending).encode())
+        assert [astuple(t) for t in load_trials(path)] == [
+            ("spk1", "utt1", True, 1), ("spk2", "utt2", False, 3)
+        ]
+        path.write_bytes((text + "spk3 utt3 same\n").replace("\n", ending).encode())
+        assert_raises_exactly(
+            lambda: load_trials(path), FormatError,
+            "trials line 4: label must be 'target' or 'nontarget'",
+        )
 
     def test_whitespace_and_blank_lines(self, tmp_path):
         path = tmp_path / "trials.txt"

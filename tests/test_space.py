@@ -356,15 +356,18 @@ class TestSpaceSerialization:
         blob = bytearray(path.read_bytes())
         blob[:4] = b"NOPE"
         path.write_bytes(bytes(blob))
-        with pytest.raises(FormatError):
-            load_space(path)
+        assert_raises_exactly(
+            lambda: load_space(path), FormatError, "bad space file magic b'NOPE', expected b'VSP1'"
+        )
 
     def test_truncation(self, tmp_path):
         path = tmp_path / "space.vsp"
         save_space(_space_with_eigenvalues([2.0, 1.0]), path)
         path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(FormatError):
-            load_space(path)
+        assert_raises_exactly(
+            lambda: load_space(path), FormatError,
+            "space file length 68 inconsistent with declared dimension 2 (expected 76)",
+        )
 
     def test_inconsistent_declared_dimension(self, tmp_path):
         path = tmp_path / "space.vsp"
@@ -372,17 +375,20 @@ class TestSpaceSerialization:
         blob = bytearray(path.read_bytes())
         blob[8] = 3  # declared D, little-endian u32 at offset 8
         path.write_bytes(bytes(blob))
-        with pytest.raises(FormatError):
-            load_space(path)
+        assert_raises_exactly(
+            lambda: load_space(path), FormatError,
+            "space file length 76 inconsistent with declared dimension 3 (expected 132)",
+        )
 
     def test_bad_version(self, tmp_path):
         path = tmp_path / "space.vsp"
         save_space(_space_with_eigenvalues([2.0, 1.0]), path)
         blob = bytearray(path.read_bytes())
-        blob[4] = 9
+        blob[4] = 2
         path.write_bytes(bytes(blob))
-        with pytest.raises(FormatError):
-            load_space(path)
+        assert_raises_exactly(
+            lambda: load_space(path), FormatError, "unsupported space file version 2"
+        )
 
 
 class TestSpectrumCsv:
@@ -455,6 +461,12 @@ def _spectrum_file(tmp_path, body):
     return path
 
 
+def _space_file(tmp_path, blob):
+    path = tmp_path / "space.vsp"
+    path.write_bytes(blob)
+    return path
+
+
 DELTAS = DeltaSpectrum([-0.5, -0.25, -0.125, -0.0625], 1e-12)
 
 # each raise branch no other test reaches: the call, its error, its message
@@ -468,6 +480,14 @@ RAISES = {
     "spectrum-index-order": (
         lambda tmp: read_spectrum_csv(_spectrum_file(tmp, "1,0.5,-0.1\n3,0.4,\n")),
         FormatError, "spectrum CSV line 3: index out of order",
+    ),
+    "space-header-truncated": (
+        lambda tmp: load_space(_space_file(tmp, b"VSP1" + struct.pack("<I", 1))),
+        FormatError, "space file truncated: 8 bytes",
+    ),
+    "space-declares-dimension-0": (
+        lambda tmp: load_space(_space_file(tmp, b"VSP1" + struct.pack("<II", 1, 0))),
+        DataError, "space file declares dimension 0",
     ),
     "spectrum-empty-delta-not-last": (
         lambda tmp: read_spectrum_csv(_spectrum_file(tmp, "1,0.5,\n2,0.4,\n")),

@@ -241,13 +241,16 @@ class TestModifyBatch:
         for spk in batch.speakers() + ("nope",):
             assert out.speaker_rows(spk).tolist() == batch.speaker_rows(spk).tolist()
 
-    def test_failure_names_utterance(self):
+    def test_dimension_mismatch_message(self):
+        # every row shares the dimension, so the message names no row
         rng = np.random.default_rng(71)
         space = _fitted_space(rng, 4)
         batch = self._batch(rng, 3, 5)
-        with pytest.raises(DataError) as err:
-            modify_batch(space, batch, SubspaceSpec(1, 1, "+"))
-        assert "u0" in str(err.value)
+        for call in (modify_batch, modify_batch_with_energy):
+            assert_raises_exactly(
+                lambda: call(space, batch, SubspaceSpec(1, 1, "+")),
+                DataError, "embedding dimension 5 != space dimension 4",
+            )
 
 
 class TestOverflow:

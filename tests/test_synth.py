@@ -14,6 +14,7 @@ from varispace import (
     eig_sym,
     fit,
     generate,
+    load_population_config,
     make_trials,
     parse_population_config,
 )
@@ -128,6 +129,21 @@ seed=515
         assert np.array_equal(config.between_variances[:8], np.full(8, 0.9))
         assert np.array_equal(config.between_variances[8:], np.zeros(24))
         assert np.array_equal(config.within_variances, np.full(32, 0.1))
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_file_line_ends_read_alike(self, tmp_path, ending):
+        path = tmp_path / "population.cfg"
+        path.write_bytes(self.TEXT.replace("\n", ending).encode())
+        config = load_population_config(path)
+        expected = parse_population_config(self.TEXT)
+        for name in ("n_speakers", "utts_per_speaker", "dim", "seed"):
+            assert getattr(config, name) == getattr(expected, name)
+        for name in ("between_variances", "within_variances"):
+            assert np.array_equal(getattr(config, name), getattr(expected, name))
+        path.write_bytes((self.TEXT + "oops\n").replace("\n", ending).encode())
+        assert_raises_exactly(
+            lambda: load_population_config(path), DataError, "config line 9: expected key=value"
+        )
 
     def test_plain_values_without_counts(self):
         config = parse_population_config(
@@ -332,9 +348,9 @@ def _two_speakers():
 RAISES = {
     "rng-negative-draws": (lambda: CounterRng(1).raw(-1), DataError, "draw count must be >= 0"),
     "config-seed-negative": (lambda: _config(seed=-1), DataError,
-                             "seed must be an unsigned 64-bit integer"),
+                             "seed must be an unsigned 64-bit integer, got -1"),
     "config-seed-above-u64": (lambda: _config(seed=2**64), DataError,
-                              "seed must be an unsigned 64-bit integer"),
+                              f"seed must be an unsigned 64-bit integer, got {2**64}"),
     "run-length-empty-token": (_between("0.9,,0.1"), DataError,
                                "config key 'between': empty run-length token"),
     "run-length-bad-count": (_between("0.9xa"), DataError,
