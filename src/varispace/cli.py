@@ -53,10 +53,8 @@ def _parse_k_range(text: str) -> range:
         first, last, step = (int(p) for p in parts)
     except ValueError:
         raise DataError(f"bad size range '{text}': fields must be integers") from None
-    if first < 0 or last < first or step < 1:
-        raise DataError(
-            f"bad size range '{text}': need 0 <= first <= last and step >= 1"
-        )
+    if step < 1:
+        raise DataError(f"bad size range '{text}': step must be >= 1")
     return range(first, last + 1, step)
 
 

@@ -19,13 +19,18 @@ from .errors import DataError, NumericalError
 SYMMETRY_RTOL = 1e-9
 
 
-def as_int(value, name: str) -> int:
-    """An integer argument as an int. Anything else, a float or a numeric
-    string included, raises DataError rather than being truncated."""
+def as_int(value, name: str, least: int | None = None) -> int:
+    """An integer argument as an int, at least ``least`` if given. Anything else,
+    a bool, a float or a numeric string included, raises DataError."""
     try:
-        return operator.index(value)
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError
+        n = operator.index(value)
     except TypeError:
         raise DataError(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and n < least:
+        raise DataError(f"{name} must be >= {least}, got {n}")
+    return n
 
 
 def as_real(value, name: str) -> float:

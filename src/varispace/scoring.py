@@ -195,16 +195,23 @@ class SweepRow:
     def __post_init__(self):
         if self.family not in SWEEP_FAMILIES:
             raise DataError(f"unknown sweep family '{self.family}'")
-        if self.direction not in (FORWARD, BACKWARD):
-            raise DataError(f"sweep direction must be '+' or '-', got '{self.direction}'")
-        for name in ("start", "size", "n_target", "n_nontarget"):
-            object.__setattr__(self, name, as_int(getattr(self, name), name))
+        block = SubspaceSpec(self.start, self.size, self.direction, self.family)
+        object.__setattr__(self, "start", block.start)
+        object.__setattr__(self, "size", block.size)
+        for name in ("n_target", "n_nontarget"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name, 0))
         object.__setattr__(self, "eer_percent", as_real(self.eer_percent, "eer_percent"))
 
 
 @dataclass(frozen=True)
 class SweepResult:
     rows: tuple[SweepRow, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "rows", tuple(self.rows))
+        for i, row in enumerate(self.rows, start=1):
+            if not isinstance(row, SweepRow):
+                raise DataError(f"sweep row {i}: expected a SweepRow, got {row!r}")
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -190,9 +190,7 @@ def detect_turning(
     ``weak`` flag set. The result is a candidate only and callers must allow
     a manual override.
     """
-    window = as_int(window, "window")
-    if window < 1:
-        raise DataError("window must be >= 1")
+    window = as_int(window, "window", 1)
     oscillation_tol = as_real(oscillation_tol, "oscillation tolerance")
     if not oscillation_tol > 0.0:
         raise DataError("oscillation tolerance must be positive")

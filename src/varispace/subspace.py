@@ -37,12 +37,8 @@ class SubspaceSpec:
     family: str = "custom"
 
     def __post_init__(self):
-        object.__setattr__(self, "start", as_int(self.start, "subspace start"))
-        object.__setattr__(self, "size", as_int(self.size, "subspace size"))
-        if self.start < 1:
-            raise DataError(f"subspace start must be >= 1, got {self.start}")
-        if self.size < 0:
-            raise DataError(f"subspace size must be >= 0, got {self.size}")
+        object.__setattr__(self, "start", as_int(self.start, "subspace start", 1))
+        object.__setattr__(self, "size", as_int(self.size, "subspace size", 0))
         if self.direction not in (FORWARD, BACKWARD):
             raise DataError(f"subspace direction must be '+' or '-', got '{self.direction}'")
         if self.family not in FAMILIES:
@@ -81,9 +77,7 @@ def resolve_indices(spec: SubspaceSpec, dim: int) -> tuple[int, ...]:
     Forward spans cover start..start+size-1, backward spans
     start-size+1..start. Empty for size 0.
     """
-    dim = as_int(dim, "dimension")
-    if dim < 1:
-        raise DataError(f"dimension must be >= 1, got {dim}")
+    dim = as_int(dim, "dimension", 1)
     if spec.start > dim:
         raise DataError(
             f"subspace start {spec.start} exceeds dimension {dim}"

@@ -15,6 +15,8 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+# the words one generator draws in all: as many as one uint64 array can hold
+_MAX_WORDS = 2**60 - 1
 
 
 class CounterRng:
@@ -30,13 +32,13 @@ class CounterRng:
         self._drawn = 0
 
     def raw(self, n: int) -> np.ndarray:
-        """Next ``n`` raw 64-bit words."""
-        n = as_int(n, "draw count")
-        if n < 0:
-            raise DataError("draw count must be >= 0")
+        """Next ``n`` raw 64-bit words; a failed draw leaves the stream as it was."""
+        n = as_int(n, "draw count", 0)
         start = self._drawn
-        self._drawn += n
+        if n > _MAX_WORDS - start:
+            raise DataError(f"draw count {n} exceeds the {_MAX_WORDS - start} words left")
         z = np.arange(start + 1, start + n + 1, dtype=np.uint64)
+        self._drawn += n
         # in place, so a population-sized draw holds one word array at a time
         with np.errstate(over="ignore"):
             z *= _GAMMA
@@ -55,7 +57,7 @@ class CounterRng:
     def gaussians(self, n: int) -> np.ndarray:
         """Next ``n`` standard normals via Box-Muller (cosine branch); each
         draw consumes two uniforms, so the stream is batching-invariant."""
-        u = self.uniforms(2 * n)
+        u = self.uniforms(2 * as_int(n, "draw count", 0))
         radius = np.sqrt(-2.0 * np.log(u[0::2]))
         return radius * np.cos(2.0 * np.pi * u[1::2])
 
@@ -73,11 +75,8 @@ class PopulationConfig:
     seed: int
 
     def __post_init__(self):
-        for name in ("n_speakers", "utts_per_speaker", "dim", "seed"):
-            object.__setattr__(self, name, as_int(getattr(self, name), name))
-        for name in ("n_speakers", "utts_per_speaker", "dim"):
-            if getattr(self, name) < 1:
-                raise DataError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name, least in zip(("n_speakers", "utts_per_speaker", "dim", "seed"), (1, 1, 1, None)):
+            object.__setattr__(self, name, as_int(getattr(self, name), name, least))
         CounterRng(self.seed)  # the generator it seeds checks the seed's range
         for name in ("between_variances", "within_variances"):
             arr = frozen(getattr(self, name), name, 1)
@@ -202,9 +201,7 @@ def make_trials(embeddings: EmbeddingSet, n_nontarget: int, seed: int) -> TrialL
     ``n_nontarget`` seeded cross-speaker pairs, drawn in batches that give the
     same pairs as one-at-a-time rejection sampling. Desk-scale stand-in for a
     published trial protocol."""
-    n_nontarget = as_int(n_nontarget, "nontarget count")
-    if n_nontarget < 1:
-        raise DataError("need at least one nontarget trial")
+    n_nontarget = as_int(n_nontarget, "nontarget count", 1)
     speakers = embeddings.speakers()
     if len(speakers) < 2:
         raise DataError("cross-speaker trials need at least two speakers")

@@ -3,10 +3,12 @@ arguments that reject other values instead of truncating them or failing
 inside numpy."""
 
 import inspect
+from functools import partial
 
 import numpy as np
 import pytest
 
+from helpers import assert_raises_exactly
 import varispace
 from varispace import (
     CounterRng,
@@ -80,12 +82,74 @@ NON_INTEGER_CALLS = {
     "config-seed": lambda: _config(seed=1.5),
     "sweep_row-size": lambda: SweepRow("primary", 1, 2.5, "+", 10.0, 3, 4),
 }
+# each integer argument as a function of its value; a bool is not an integer
+INTEGER_ARGUMENTS = {
+    "run_sweep-k": lambda v: run_sweep(SPACE, EMB, TRIALS, "primary", [v]),
+    "run_sweep-turning": lambda v: run_sweep(SPACE, EMB, TRIALS, "secondary", [1], turning_dim=v),
+    "spec-start": lambda v: SubspaceSpec(v, 1, "+"),
+    "spec-size": lambda v: SubspaceSpec(1, v, "+"),
+    "resolve-dim": lambda v: resolve_indices(SubspaceSpec(1, 1, "+"), v),
+    "make_trials-count": lambda v: make_trials(EMB, v, seed=1),
+    "make_trials-seed": lambda v: make_trials(EMB, 2, seed=v),
+    "detect_turning-window": lambda v: detect_turning(delta_spectrum(SPACE), window=v),
+    "rng-seed": lambda v: CounterRng(v),
+    "rng-draws": lambda v: CounterRng(7).raw(v),
+    "rng-gaussians": lambda v: CounterRng(7).gaussians(v),
+    "config-n_speakers": lambda v: _config(n_speakers=v),
+    "config-utts_per_speaker": lambda v: _config(utts_per_speaker=v),
+    "config-dim": lambda v: _config(dim=v),
+    "config-seed": lambda v: _config(seed=v),
+    "sweep_row-start": lambda v: SweepRow("primary", v, 2, "+", 10.0, 3, 4),
+    "sweep_row-size": lambda v: SweepRow("primary", 1, v, "+", 10.0, 3, 4),
+    "sweep_row-n_target": lambda v: SweepRow("primary", 1, 2, "+", 10.0, v, 4),
+    "sweep_row-n_nontarget": lambda v: SweepRow("primary", 1, 2, "+", 10.0, 3, v),
+}
+NON_INTEGER_CALLS.update(
+    (f"{name}-{label}", partial(call, value))
+    for name, call in INTEGER_ARGUMENTS.items()
+    for label, value in (("True", True), ("np.True_", np.True_))
+)
 
 
 @pytest.mark.parametrize("call", NON_INTEGER_CALLS.values(), ids=NON_INTEGER_CALLS.keys())
 def test_non_integer_argument_is_a_data_error(call):
     with pytest.raises(DataError, match="must be an integer, got"):
         call()
+
+
+# each integer argument one below its least value, and the exact message
+BELOW_LEAST = {
+    "run_sweep-k": (lambda: run_sweep(SPACE, EMB, TRIALS, "primary", [-1]),
+                    "size -1 unresolvable: subspace size must be >= 0, got -1"),
+    "spec-start": (lambda: SubspaceSpec(0, 1, "+"), "subspace start must be >= 1, got 0"),
+    "spec-size": (lambda: SubspaceSpec(1, -1, "+"), "subspace size must be >= 0, got -1"),
+    "resolve-dim": (lambda: resolve_indices(SubspaceSpec(1, 1, "+"), 0),
+                    "dimension must be >= 1, got 0"),
+    "make_trials-count": (lambda: make_trials(EMB, 0, seed=1),
+                          "nontarget count must be >= 1, got 0"),
+    "detect_turning-window": (lambda: detect_turning(delta_spectrum(SPACE), window=0),
+                              "window must be >= 1, got 0"),
+    "rng-draws": (lambda: CounterRng(7).raw(-1), "draw count must be >= 0, got -1"),
+    "rng-gaussians": (lambda: CounterRng(7).gaussians(-1), "draw count must be >= 0, got -1"),
+    "config-n_speakers": (lambda: _config(n_speakers=0), "n_speakers must be >= 1, got 0"),
+    "config-utts_per_speaker": (lambda: _config(utts_per_speaker=0),
+                                "utts_per_speaker must be >= 1, got 0"),
+    "config-dim": (lambda: _config(dim=0), "dim must be >= 1, got 0"),
+    "sweep_row-n_target": (lambda: SweepRow("primary", 1, 2, "+", 10.0, -1, 4),
+                           "n_target must be >= 0, got -1"),
+    "sweep_row-n_nontarget": (lambda: SweepRow("primary", 1, 2, "+", 10.0, 3, -1),
+                              "n_nontarget must be >= 0, got -1"),
+    # each field's range is checked as that field is converted
+    "spec-start-before-size": (lambda: SubspaceSpec(0, 2.5, "+"),
+                               "subspace start must be >= 1, got 0"),
+    "config-n_speakers-before-seed": (lambda: _config(n_speakers=0, seed="x"),
+                                      "n_speakers must be >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("call, message", BELOW_LEAST.values(), ids=BELOW_LEAST.keys())
+def test_integer_below_its_least_value_is_a_data_error(call, message):
+    assert_raises_exactly(call, DataError, message)
 
 
 def test_numpy_integers_are_integers():

@@ -67,6 +67,16 @@ class TestSynth:
                      "--out", str(tmp_path / "emb.csv")]) == 1
         assert capsys.readouterr().err.startswith("error:data:")
 
+    def test_population_past_the_draw_cap_is_one_data_line(self, tmp_path, capsys):
+        config = POP_CONFIG.replace("n_speakers=6", f"n_speakers={10**30}")
+        (tmp_path / "pop.cfg").write_text(config)
+        assert main(["synth", "--config", str(tmp_path / "pop.cfg"),
+                     "--out", str(tmp_path / "emb.csv")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error:data:draw count ")
+        assert not (tmp_path / "emb.csv").exists()
+
     def test_binary_output(self, tmp_path):
         (tmp_path / "pop.cfg").write_text(POP_CONFIG)
         main(["synth", "--config", str(tmp_path / "pop.cfg"),
@@ -448,6 +458,20 @@ class TestSweep:
                      "--family", "primary", "--k", "5:1:1",
                      "--out", str(workdir / "s.csv")]) == 1
         assert capsys.readouterr().err.startswith("error:data:")
+
+    @pytest.mark.parametrize("k, message", [
+        ("5:1:1", "sweep needs at least one size"),
+        ("-1:3:1", "size -1 unresolvable: subspace size must be >= 0, got -1"),
+        ("0:3:0", "bad size range '0:3:0': step must be >= 1"),
+    ])
+    def test_k_range_messages(self, workdir, capsys, k, message):
+        assert main(["sweep", "--space", str(workdir / "space.vsp"),
+                     "--embeddings", str(workdir / "emb.csv"),
+                     "--trials", str(workdir / "trials.txt"),
+                     "--family", "primary", f"--k={k}",
+                     "--out", str(workdir / "s.csv")]) == 1
+        assert capsys.readouterr().err == f"error:data:{message}\n"
+        assert not (workdir / "s.csv").exists()
 
     def test_size_above_dimension_rejected_before_expansion(self, workdir, capsys):
         # sizes are read one at a time: the first bad one stops the 10^19-long range

@@ -28,6 +28,7 @@ from varispace import (
     fit,
     generate,
     load_embeddings,
+    load_population_config,
     load_space,
     load_trials,
     make_trials,
@@ -158,11 +159,12 @@ def test_cli_fit_prints_one_error_line(tmp_path, contents):
 @pytest.fixture(scope="module")
 def valid_inputs(tmp_path_factory):
     """The bytes of one valid input of each kind: a 6-speaker, 8-dim
-    population as CSV and as binary, its fitted space and a trial list."""
+    population as CSV and as binary, its config, its fitted space and a trial list."""
     work = tmp_path_factory.mktemp("valid")
-    emb = generate(parse_population_config(
-        "n_speakers=6\nutts_per_speaker=5\ndim=8\nbetween=0.9x3,0.0x5\nwithin=0.1x8\nseed=42"
-    ))
+    (work / "pop.cfg").write_text(
+        "n_speakers=6\nutts_per_speaker=5\ndim=8\nbetween=0.9x3,0.0x5\nwithin=0.1x8\nseed=42\n"
+    )
+    emb = generate(load_population_config(work / "pop.cfg"))
     save_embeddings(emb, work / "emb.csv")
     save_embeddings(emb, work / "emb.bin", format="binary")
     save_space(fit(emb), work / "space.vsp")
@@ -170,7 +172,7 @@ def valid_inputs(tmp_path_factory):
     return {name: (work / name).read_bytes() for name in CLI_INPUTS}
 
 
-CLI_INPUTS = ("emb.csv", "emb.bin", "space.vsp", "trials.txt")
+CLI_INPUTS = ("emb.csv", "emb.bin", "pop.cfg", "space.vsp", "trials.txt")
 # every subcommand form that reads an input file, ``{}`` being the work directory
 _SWEEP = "sweep --space {0}/space.vsp --embeddings {0}/emb.csv --trials {0}/trials.txt"
 CLI_FORMS = (
@@ -184,10 +186,15 @@ CLI_FORMS = (
     _SWEEP + " --family primary --k 0:6:3 --out {0}/s.csv",
     _SWEEP + " --family secondary --is 5 --k 0:4:2 --out {0}/s.csv",
     _SWEEP + " --family residual --k 1:7:3 --clean-enroll --out {0}/s.csv",
+    "synth --config {0}/pop.cfg --out {0}/o.csv",
 )
 EXIT_CATEGORIES = {1: "data", 2: "numerical", 3: "io"}
-# values and ids of the population that, inserted anywhere, reach deeper checks
-INSERTS = (b"nan", b"inf", b"1e308", b'"', b"\x00", b"\xff", b"spk1", b"spk2_utt3", b" ")
+# values and ids of the population that, inserted anywhere, reach deeper checks; a
+# 20-digit run makes any population count it lands in exceed the generator's draw cap
+INSERTS = (
+    b"nan", b"inf", b"1e308", b'"', b"\x00", b"\xff", b"spk1", b"spk2_utt3", b" ",
+    b"99999999999999999999",
+)
 
 
 @st.composite

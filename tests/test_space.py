@@ -472,7 +472,7 @@ DELTAS = DeltaSpectrum([-0.5, -0.25, -0.125, -0.0625], 1e-12)
 # each raise branch no other test reaches: the call, its error, its message
 RAISES = {
     "turning-window-below-one": (lambda tmp: detect_turning(DELTAS, window=0), DataError,
-                                 "window must be >= 1"),
+                                 "window must be >= 1, got 0"),
     "turning-zero-tolerance": (lambda tmp: detect_turning(DELTAS, oscillation_tol=0.0),
                                DataError, "oscillation tolerance must be positive"),
     "turning-negative-tolerance": (lambda tmp: detect_turning(DELTAS, oscillation_tol=-0.1),

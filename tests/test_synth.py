@@ -55,6 +55,20 @@ class TestCounterRng:
         assert abs(float(np.mean(g))) < 0.01
         assert abs(float(np.var(g)) - 1.0) < 0.01
 
+    def test_draw_past_the_words_left_is_a_data_error_that_leaves_the_stream(self):
+        # counts past 2**60, so that no draw allocates anything
+        rng = CounterRng(7)
+        rng.raw(3)
+        assert_raises_exactly(lambda: rng.raw(2**61), DataError,
+                              f"draw count {2**61} exceeds the {2**60 - 4} words left")
+        assert_raises_exactly(lambda: rng.gaussians(2**59 + 1), DataError,
+                              f"draw count {2**60 + 2} exceeds the {2**60 - 4} words left")
+        assert rng.raw(2).tobytes() == CounterRng(7).raw(5)[3:].tobytes()
+
+    def test_gaussians_check_their_own_count(self):
+        assert_raises_exactly(lambda: CounterRng(7).gaussians(2.5), DataError,
+                              "draw count must be an integer, got 2.5")
+
     def test_seed_range_validated(self):
         with pytest.raises(DataError):
             CounterRng(-1)
@@ -103,6 +117,10 @@ class TestGenerate:
         p_true = np.zeros((32, 32))
         p_true[:8, :8] = np.eye(8)
         assert float(np.linalg.norm(p_fit - p_true)) <= 0.2
+
+    def test_population_past_the_draw_cap_is_a_data_error(self):
+        with pytest.raises(DataError, match=f"^draw count {2 * 10**30 * 32} exceeds the "):
+            generate(_config(n_speakers=10**30))
 
     def test_counts_validated(self):
         with pytest.raises(DataError):
@@ -346,7 +364,8 @@ def _two_speakers():
 
 # each raise branch no other test reaches: the call, its error, its message
 RAISES = {
-    "rng-negative-draws": (lambda: CounterRng(1).raw(-1), DataError, "draw count must be >= 0"),
+    "rng-negative-draws": (lambda: CounterRng(1).raw(-1), DataError,
+                           "draw count must be >= 0, got -1"),
     "config-seed-negative": (lambda: _config(seed=-1), DataError,
                              "seed must be an unsigned 64-bit integer, got -1"),
     "config-seed-above-u64": (lambda: _config(seed=2**64), DataError,
@@ -365,7 +384,7 @@ RAISES = {
         DataError, "config: invalid literal for int() with base 10: 'two'",
     ),
     "make-trials-no-nontarget": (lambda: make_trials(_two_speakers(), 0, seed=1), DataError,
-                                 "need at least one nontarget trial"),
+                                 "nontarget count must be >= 1, got 0"),
 }
 
 

@@ -35,7 +35,7 @@ count = st.integers(min_value=0)
 sweep_rows = st.builds(
     SweepRow,
     family=st.sampled_from(SWEEP_FAMILIES),
-    start=count,
+    start=st.integers(min_value=1),
     size=count,
     direction=st.sampled_from("+-"),
     eer_percent=finite,
@@ -88,13 +88,33 @@ def test_spectrum_reads_back_exactly(tmp_path, space):
     [
         ("a\rb", "+", "unknown sweep family 'a\rb'"),
         ("custom", "-", "unknown sweep family 'custom'"),
-        ("primary", "a,b", "sweep direction must be '\\+' or '-', got 'a,b'"),
-        ("primary", "", "sweep direction must be '\\+' or '-', got ''"),
+        ("primary", "a,b", "subspace direction must be '\\+' or '-', got 'a,b'"),
+        ("primary", "", "subspace direction must be '\\+' or '-', got ''"),
     ],
 )
 def test_sweep_row_rejects_what_the_format_cannot_carry(family, direction, match):
     with pytest.raises(DataError, match=match):
         SweepRow(family, 1, 2, direction, 12.5, 3, 4)
+
+
+@pytest.mark.parametrize(
+    "start, size, n_target, match",
+    [
+        (0, 2, 3, "subspace start must be >= 1, got 0"),
+        (1, -1, 3, "subspace size must be >= 0, got -1"),
+        (1, 2, -1, "n_target must be >= 0, got -1"),
+    ],
+)
+def test_sweep_row_rejects_a_block_or_count_the_format_cannot_carry(start, size, n_target, match):
+    with pytest.raises(DataError, match=match):
+        SweepRow("primary", start, size, "+", 12.5, n_target, 4)
+
+
+def test_sweep_result_holds_only_sweep_rows():
+    row = SweepRow("primary", 1, 2, "+", 12.5, 3, 4)
+    assert SweepResult(rows=[row]).rows == (row,)
+    with pytest.raises(DataError, match="^sweep row 2: expected a SweepRow, got 1$"):
+        SweepResult(rows=[row, 1, 2])
 
 
 @pytest.mark.parametrize(
