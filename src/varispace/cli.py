@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__
 from .embeddings import detect_format, format_float, load_embeddings, load_trials, save_embeddings
 from .errors import DataError, NumericalError
-from .linalg import check_finite
+from .linalg import check_finite, parse_int, parse_real
 from .scoring import (
     SWEEP_FAMILIES,
     build_enrollment,
@@ -49,13 +49,9 @@ def _parse_k_range(text: str) -> range:
     parts = text.split(":")
     if len(parts) != 3:
         raise DataError(f"bad size range '{text}': expected <first>:<last>:<step>")
-    try:
-        first, last, step = (int(p) for p in parts)
-    except ValueError:
-        raise DataError(f"bad size range '{text}': fields must be integers") from None
-    if step < 1:
-        raise DataError(f"bad size range '{text}': step must be >= 1")
-    return range(first, last + 1, step)
+    first = parse_int(parts[0], "size range first")
+    last = parse_int(parts[1], "size range last")
+    return range(first, last + 1, parse_int(parts[2], "size range step", 1))
 
 
 def _cmd_fit(args) -> int:
@@ -86,11 +82,10 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_detect_knee(args) -> int:
-    space = load_space(args.space)
-    deltas = delta_spectrum(space)
-    result = detect_turning(
-        deltas, window=args.window, oscillation_tol=args.tolerance
-    )
+    window = parse_int(args.window, "window")
+    tolerance = parse_real(args.tolerance, "oscillation tolerance")
+    deltas = delta_spectrum(load_space(args.space))
+    result = detect_turning(deltas, window=window, oscillation_tol=tolerance)
     flag = "weak" if result.weak else "strong"
     print(f"i_s={result.index} flag={flag}")
     return 0
@@ -127,6 +122,8 @@ def _cmd_eer(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    k_values = _parse_k_range(args.k)
+    turning = None if args.turning is None else parse_int(args.turning, "turning dimension")
     space = load_space(args.space)
     embeddings = load_embeddings(args.embeddings)
     trials = load_trials(args.trials)
@@ -135,8 +132,8 @@ def _cmd_sweep(args) -> int:
         embeddings,
         trials,
         family=args.family,
-        k_values=_parse_k_range(args.k),
-        turning_dim=args.turning,
+        k_values=k_values,
+        turning_dim=turning,
         clean_enrollment=args.clean_enroll,
     )
     write_sweep_csv(result, args.out)
@@ -181,8 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detect-knee", help="locate the candidate turning dimension")
     p.add_argument("--space", required=True)
-    p.add_argument("--window", type=int, default=10)
-    p.add_argument("--tolerance", type=float, default=0.05)
+    p.add_argument("--window", default="10")
+    p.add_argument("--tolerance", default="0.05")
     p.set_defaults(func=_cmd_detect_knee)
 
     p = sub.add_parser("modify", help="zero a subspace's coefficients in every embedding")
@@ -212,8 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--is",
         dest="turning",
-        type=int,
-        default=None,
         help="turning dimension anchoring the secondary family",
     )
     p.add_argument("--k", required=True, help="size range <first>:<last>:<step>, inclusive")

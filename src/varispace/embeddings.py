@@ -15,7 +15,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DataError, FormatError
-from .linalg import frozen
+from .linalg import frozen, parse_number
 
 EMBEDDINGS_MAGIC = b"EMB1"
 EMBEDDINGS_VERSION = 1
@@ -262,10 +262,10 @@ def write_table(destination, header, rows) -> None:
 
 
 def read_table(source, what: str, header, converters, build=lambda *values: values) -> list:
-    """The rows of a CSV table written by :func:`write_table`, each passed
-    field by field through ``converters`` and then to ``build``. A bad header,
-    field count or value (a ValueError from a converter or ``build``) raises
-    FormatError naming ``what`` and the line."""
+    """The rows of a CSV table written by :func:`write_table`, each field passed
+    to its converter as ``convert(text, column name)`` (None keeps the text),
+    then the row to ``build``. A bad header, field count or value (a ValueError
+    from a converter or ``build``) raises FormatError naming ``what`` and the line."""
     with open_text(source) as fh:
         records = list(_records(csv.reader(fh)))
     if not records or records[0][1] != list(header):
@@ -275,7 +275,9 @@ def read_table(source, what: str, header, converters, build=lambda *values: valu
         if len(row) != len(header):
             raise FormatError(f"{what} CSV line {lineno}: expected {len(header)} fields")
         try:
-            parsed.append(build(*(convert(text) for convert, text in zip(converters, row))))
+            columns = zip(converters, row, header)
+            values = [convert(text, name) if convert else text for convert, text, name in columns]
+            parsed.append(build(*values))
         except ValueError as exc:
             raise FormatError(f"{what} CSV line {lineno}: {exc}") from None
     return parsed
@@ -422,7 +424,9 @@ def _read_plain_csv(source) -> tuple[list, list, np.ndarray]:
                     or any(map(line.__contains__, _NOT_PLAIN))
                 ):
                     raise ValueError("not a plain line")
-                utt, spk, _ = line.split(",", 2)
+                utt, spk, values = line.split(",", 2)
+                if not values.isascii():  # loadtxt strips non-ASCII spaces
+                    raise ValueError("not a plain line")
                 utts.append(utt)
                 spks.append(spk)
                 yield line
@@ -439,7 +443,8 @@ def _read_plain_csv(source) -> tuple[list, list, np.ndarray]:
 
 
 def _load_csv_rows(source) -> EmbeddingSet:
-    """The embeddings CSV read row by row through ``csv``."""
+    """The embeddings CSV read row by row through ``csv``, each value by
+    ``linalg.parse_number``'s rule; the set rejects a non-finite one."""
     with open_text(source) as fh:
         reader = csv.reader(fh)
         d = _read_csv_header(reader)
@@ -453,11 +458,17 @@ def _load_csv_rows(source) -> EmbeddingSet:
                 )
             utts.append(row[0])
             spks.append(row[1])
-            try:
-                values = np.fromiter(map(float, row[2:]), dtype=np.float64, count=d)
-            except ValueError as exc:
-                raise DataError(f"embeddings CSV line {lineno}: {exc}") from None
-            rows.append(values)
+            values = row[2:]
+            joined = "".join(values)  # ASCII without "_" if and only if every value is
+            if joined.isascii() and "_" not in joined:
+                try:
+                    rows.append(np.fromiter(map(float, values), dtype=np.float64, count=d))
+                    continue
+                except ValueError:
+                    pass
+            # value by value, so that the first one parse_number rejects names its column
+            names = (f"embeddings CSV line {lineno}: d{j}" for j in range(1, d + 1))
+            rows.append([parse_number(float, text, name) for text, name in zip(values, names)])
     if not rows:
         raise DataError("embeddings CSV contains no records")
     return EmbeddingSet(tuple(utts), tuple(spks), rows)

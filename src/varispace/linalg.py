@@ -1,5 +1,5 @@
-"""Dense double-precision numeric substrate: input validation, sample
-covariance estimation, and a symmetric eigensolver (LAPACK via numpy).
+"""Dense double-precision numeric substrate: input validation and parsing,
+sample covariance estimation, and a symmetric eigensolver (LAPACK via numpy).
 
 Vectors are 1-D float64 arrays, matrices 2-D float64 arrays. All functions
 are pure; returned arrays never alias their inputs, save where :func:`frozen` keeps one.
@@ -45,6 +45,30 @@ def as_real(value, name: str) -> float:
     if not math.isfinite(real):
         raise DataError(f"{name} must be finite, got {real!r}")
     return real
+
+
+def parse_number(convert, text: str, name: str):
+    """``convert(text)``, ``convert`` being ``int`` or ``float``, for ASCII text
+    without ``_``: the rule for every number written as text, so ``+3`` and
+    `` 7 `` are integers but ``1_0``, ``٥`` and ``0x10`` are not. Anything
+    else raises DataError."""
+    if text.isascii() and "_" not in text:
+        try:
+            return convert(text)
+        except ValueError:
+            pass
+    kind = "an integer" if convert is int else "a real number"
+    raise DataError(f"{name} must be {kind}, got {text!r}")
+
+
+def parse_int(text: str, name: str, least: int | None = None) -> int:
+    """:func:`as_int` of an integer field read by :func:`parse_number`."""
+    return as_int(parse_number(int, text, name), name, least)
+
+
+def parse_real(text: str, name: str) -> float:
+    """:func:`as_real` of a real-number field read by :func:`parse_number`."""
+    return as_real(parse_number(float, text, name), name)
 
 
 # per rank: what the array is called, its rank and its least size

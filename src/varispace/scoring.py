@@ -12,7 +12,7 @@ import numpy as np
 
 from .embeddings import EmbeddingSet, TrialList, read_table, write_table
 from .errors import DataError, NumericalError
-from .linalg import as_array, as_int, as_real, check_finite, frozen
+from .linalg import as_array, as_int, as_real, check_finite, frozen, parse_int, parse_real
 from .space import VariabilitySpace
 from .subspace import BACKWARD, FORWARD, SWEEP_FAMILIES, SubspaceSpec, resolve_indices
 
@@ -324,5 +324,5 @@ def write_sweep_csv(result: SweepResult, destination) -> None:
 
 
 def read_sweep_csv(source) -> SweepResult:
-    converters = (str, int, int, str, float, int, int)
+    converters = (None, parse_int, parse_int, None, parse_real, parse_int, parse_int)
     return SweepResult(rows=tuple(read_table(source, "sweep", SWEEP_HEADER, converters, SweepRow)))

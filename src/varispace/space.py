@@ -18,7 +18,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .embeddings import EmbeddingSet, read_binary, read_table, write_table
 from .errors import DataError, FormatError
-from .linalg import as_array, as_int, as_real, check_finite, covariance, eig_sym, frozen
+from .linalg import (
+    as_array, as_int, as_real, check_finite, covariance, eig_sym, frozen, parse_int, parse_real
+)
 
 SPACE_MAGIC = b"VSP1"
 SPACE_VERSION = 1
@@ -260,12 +262,14 @@ def write_spectrum_csv(space: VariabilitySpace, destination) -> None:
 
 def read_spectrum_csv(source) -> tuple[np.ndarray, np.ndarray]:
     """Parse a spectrum CSV back into (log_eigenvalues, deltas)."""
-    converters = (int, float, lambda text: float(text) if text else None)
+    converters = (parse_int, parse_real, lambda text, name: text and parse_real(text, name))
     rows = read_table(source, "spectrum", SPECTRUM_HEADER, converters)
+    if not rows:
+        raise FormatError("spectrum CSV has no rows")
     for index, (written, _, delta) in enumerate(rows, start=1):
         if written != index:
             raise FormatError(f"spectrum CSV line {index + 1}: index out of order")
-        if (index == len(rows)) != (delta is None):
+        if (index == len(rows)) != (delta == ""):
             raise FormatError(
                 f"spectrum CSV line {index + 1}: delta must be empty on the last row only"
             )

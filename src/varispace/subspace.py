@@ -15,7 +15,7 @@ import numpy as np
 
 from .embeddings import EmbeddingSet
 from .errors import DataError
-from .linalg import as_array, as_int, check_finite
+from .linalg import as_array, as_int, check_finite, parse_int
 from .space import VariabilitySpace
 
 FORWARD = "+"
@@ -58,14 +58,7 @@ def parse_spec(text: str) -> SubspaceSpec:
     else:
         raise DataError(f"bad subspace spec '{text}': expected {_SPEC_GRAMMAR}")
     try:
-        start = int(rest[0])
-        size = int(rest[1])
-    except ValueError:
-        raise DataError(
-            f"bad subspace spec '{text}': start and size must be integers "
-            f"({_SPEC_GRAMMAR})"
-        ) from None
-    try:
+        start, size = parse_int(rest[0], "subspace start"), parse_int(rest[1], "subspace size")
         return SubspaceSpec(start=start, size=size, direction=rest[2], family=family)
     except DataError as exc:
         raise DataError(f"bad subspace spec '{text}': {exc} ({_SPEC_GRAMMAR})") from None

@@ -9,7 +9,7 @@ import numpy as np
 
 from .embeddings import EmbeddingSet, Trial, TrialList, open_text
 from .errors import DataError, NumericalError
-from .linalg import as_int, frozen
+from .linalg import as_int, frozen, parse_int, parse_real
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -57,7 +57,10 @@ class CounterRng:
     def gaussians(self, n: int) -> np.ndarray:
         """Next ``n`` standard normals via Box-Muller (cosine branch); each
         draw consumes two uniforms, so the stream is batching-invariant."""
-        u = self.uniforms(2 * as_int(n, "draw count", 0))
+        n = as_int(n, "draw count", 0)
+        if n > (left := (_MAX_WORDS - self._drawn) // 2):
+            raise DataError(f"draw count {n} exceeds the {left} gaussians left")
+        u = self.uniforms(2 * n)
         radius = np.sqrt(-2.0 * np.log(u[0::2]))
         return radius * np.cos(2.0 * np.pi * u[1::2])
 
@@ -88,29 +91,12 @@ class PopulationConfig:
 
 
 def _run_lengths(text: str, key: str) -> list[tuple[float, int]]:
-    """(value, repeat count) for each comma-separated run-length token."""
+    """(value, repeat count) for each comma-separated ``<value>[x<count>]`` token."""
     runs = []
     for token in text.split(","):
-        token = token.strip()
-        if not token:
-            raise DataError(f"config key '{key}': empty run-length token")
-        if "x" in token:
-            value_part, _, count_part = token.partition("x")
-            try:
-                count = int(count_part)
-            except ValueError:
-                raise DataError(
-                    f"config key '{key}': bad repeat count in '{token}'"
-                ) from None
-            if count < 1:
-                raise DataError(f"config key '{key}': repeat count must be >= 1")
-        else:
-            value_part, count = token, 1
-        try:
-            value = float(value_part)
-        except ValueError:
-            raise DataError(f"config key '{key}': bad value in '{token}'") from None
-        runs.append((value, count))
+        value, times, count = token.partition("x")
+        value = parse_real(value, f"{key} value")
+        runs.append((value, parse_int(count, f"{key} repeat count", 1) if times else 1))
     return runs
 
 
@@ -141,31 +127,16 @@ def parse_population_config(text: str) -> PopulationConfig:
     for key in entries:
         if key not in required:
             raise DataError(f"config has unknown key '{key}'")
-    try:
-        n_speakers = int(entries["n_speakers"])
-        utts = int(entries["utts_per_speaker"])
-        dim = int(entries["dim"])
-        seed = int(entries["seed"])
-    except ValueError as exc:
-        raise DataError(f"config: {exc}") from None
-    variances = {}
+    integers = ("n_speakers", "utts_per_speaker", "dim", "seed")
+    fields = {key: parse_int(entries[key], key) for key in integers}
     for key in ("between", "within"):
         values, counts = zip(*_run_lengths(entries[key], key))
-        n_values = sum(counts)
+        n_values, dim = sum(counts), fields["dim"]
         # checked before expanding, since repeat counts are unbounded
         if n_values != dim:
-            raise DataError(
-                f"config key '{key}' expands to {n_values} values, expected dim={dim}"
-            )
-        variances[key] = np.repeat(values, counts)
-    return PopulationConfig(
-        n_speakers=n_speakers,
-        utts_per_speaker=utts,
-        dim=dim,
-        between_variances=variances["between"],
-        within_variances=variances["within"],
-        seed=seed,
-    )
+            raise DataError(f"config key '{key}' expands to {n_values} values, expected dim={dim}")
+        fields[f"{key}_variances"] = np.repeat(values, counts)
+    return PopulationConfig(**fields)
 
 
 def load_population_config(source) -> PopulationConfig:

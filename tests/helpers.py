@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 import struct
 
 import numpy as np
@@ -576,10 +577,19 @@ def load_binary_oracle(source):
     return embedding_set_oracle(tuple(utts), tuple(spks), vectors.astype(np.float64))
 
 
+# a real number as float() spells it, in ASCII and without "_": optional
+# ASCII whitespace around a sign and a decimal, an infinity or a NaN
+_REAL = re.compile(
+    r"[ \t\n\r\v\f]*[+-]?(?:(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?|inf|infinity|nan)[ \t\n\r\v\f]*",
+    re.ASCII | re.IGNORECASE,
+)
+
+
 def load_csv_oracle(source) -> EmbeddingSet:
-    """An embeddings CSV read row by row through ``csv``, each row's values
-    converted with ``float``: the reader before its ``np.loadtxt`` pass, with
-    errors naming the file line a record starts on."""
+    """An embeddings CSV read row by row through ``csv``, each value matched
+    against ``_REAL`` and then converted with ``float``: the reader before its
+    ``np.loadtxt`` pass, with errors naming the file line a record starts on
+    and the column of a row's first bad value."""
     with open_text(source) as fh:
         reader = csv.reader(fh)
         try:
@@ -604,11 +614,13 @@ def load_csv_oracle(source) -> EmbeddingSet:
                 )
             utts.append(row[0])
             spks.append(row[1])
-            try:
-                values = np.fromiter(map(float, row[2:]), dtype=np.float64, count=d)
-            except ValueError as exc:
-                raise DataError(f"embeddings CSV line {lineno}: {exc}") from None
-            rows.append(values)
+            for column, text in enumerate(row[2:], start=1):
+                if not _REAL.fullmatch(text):
+                    raise DataError(
+                        f"embeddings CSV line {lineno}: d{column} must be a real number, "
+                        f"got {text!r}"
+                    )
+            rows.append([float(text) for text in row[2:]])
     if not rows:
         raise DataError("embeddings CSV contains no records")
     return EmbeddingSet(tuple(utts), tuple(spks), np.array(rows, dtype=np.float64))

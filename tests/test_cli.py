@@ -462,7 +462,7 @@ class TestSweep:
     @pytest.mark.parametrize("k, message", [
         ("5:1:1", "sweep needs at least one size"),
         ("-1:3:1", "size -1 unresolvable: subspace size must be >= 0, got -1"),
-        ("0:3:0", "bad size range '0:3:0': step must be >= 1"),
+        ("0:3:0", "size range step must be >= 1, got 0"),
     ])
     def test_k_range_messages(self, workdir, capsys, k, message):
         assert main(["sweep", "--space", str(workdir / "space.vsp"),
@@ -590,7 +590,7 @@ RAISES = {
     "k-range-field-count": (lambda: _parse_k_range("0:8"), DataError,
                             "bad size range '0:8': expected <first>:<last>:<step>"),
     "k-range-not-integer": (lambda: _parse_k_range("0:x:1"), DataError,
-                            "bad size range '0:x:1': fields must be integers"),
+                            "size range last must be an integer, got 'x'"),
 }
 
 

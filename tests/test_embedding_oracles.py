@@ -107,13 +107,13 @@ ODD_IDS = [
     "\x1c", "a\x1fb", "u" * LIMIT, "u" * (LIMIT + 1), '"' + "u" * (LIMIT + 1) + '"',
 ]
 
-# spellings float() and np.loadtxt may disagree on, and values at and over
-# the field limit
+# spellings float() and np.loadtxt may disagree on, values at and over the
+# field limit, and non-ASCII ones float() and loadtxt read but the rule does not
 ODD_VALUES = [
     " 1 ", "1_0", "１", "0x10", "nan(1)", "1j", "", "1e500", "-Infinity", "\x00", "1\x00",
     "\x1c1", "1\x1d", "\x1e1", "1\x1f", "\x0b1", "1 ", "+.5", "1.", "1e-400", "inf",
     "-nan", '"1"', '"1', "1,0", "1" * (LIMIT + 1), "0." + "0" * (LIMIT - 3) + "1",
-    "0." + "0" * (LIMIT - 1) + "1",
+    "0." + "0" * (LIMIT - 1) + "1", "٥", "\xa01", "1\u3000",
 ]
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

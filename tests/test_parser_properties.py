@@ -193,7 +193,7 @@ EXIT_CATEGORIES = {1: "data", 2: "numerical", 3: "io"}
 # 20-digit run makes any population count it lands in exceed the generator's draw cap
 INSERTS = (
     b"nan", b"inf", b"1e308", b'"', b"\x00", b"\xff", b"spk1", b"spk2_utt3", b" ",
-    b"99999999999999999999",
+    b"99999999999999999999", b"1_0", "٥".encode(),
 )
 
 

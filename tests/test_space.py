@@ -493,6 +493,10 @@ RAISES = {
         lambda tmp: read_spectrum_csv(_spectrum_file(tmp, "1,0.5,\n2,0.4,\n")),
         FormatError, "spectrum CSV line 2: delta must be empty on the last row only",
     ),
+    "spectrum-no-rows": (
+        lambda tmp: read_spectrum_csv(_spectrum_file(tmp, "")),
+        FormatError, "spectrum CSV has no rows",
+    ),
 }
 
 

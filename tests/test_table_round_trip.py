@@ -176,5 +176,6 @@ def test_sweep_file_error_names_the_line_a_record_starts_on(tmp_path):
         'primary,"1\n",0,+,12.5,10,20\n'
         "primary,1,x,+,15.0,10,20\n"
     )
-    with pytest.raises(FormatError, match="^sweep CSV line 4: invalid literal"):
+    with pytest.raises(FormatError) as caught:
         read_sweep_csv(path)
+    assert str(caught.value) == "sweep CSV line 4: size must be an integer, got 'x'"
