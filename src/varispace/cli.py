@@ -234,8 +234,12 @@ def _one_line(message: str) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse takes "--k -1:3:1" for an option without its value: read "--k=-1:3:1"
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--k" and argv[i + 1][:1] == "-" and argv[i + 1][1:2].isdigit():
+            argv[i : i + 2] = [f"--k={argv[i + 1]}"]
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except DataError as exc:

@@ -8,7 +8,6 @@ are pure; returned arrays never alias their inputs, save where :func:`frozen` ke
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 
 import numpy as np
@@ -34,9 +33,13 @@ def as_int(value, name: str, least: int | None = None) -> int:
 
 
 def as_real(value, name: str) -> float:
-    """A real-number argument as a finite float. A bool, anything else that is
-    not a ``numbers.Real`` and a value that is not finite raise DataError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    """A real-number argument as a finite float: a Python or numpy int or
+    float, the kinds :func:`as_array` admits. Anything else (a bool, a
+    ``Fraction``, a numpy timedelta) and a non-finite value raise DataError."""
+    # numpy's timedelta64 subclasses its integer type
+    if isinstance(value, (bool, np.timedelta64)) or not isinstance(
+        value, (int, float, np.integer, np.floating)
+    ):
         raise DataError(f"{name} must be a real number, got {value!r}")
     try:
         real = float(value)
@@ -79,14 +82,20 @@ _RANKS = {
 
 
 def as_array(values, name: str, ndim: int) -> np.ndarray:
-    """Coerce to a finite float64 vector (``ndim`` 1) or matrix (``ndim`` 2)
-    with no empty axis."""
+    """A finite float64 vector (``ndim`` 1) or matrix (``ndim`` 2) with no
+    empty axis, from values of an integer or float dtype: any other dtype
+    raises DataError. A float64 array comes back as itself."""
     kind, rank, least = _RANKS[ndim]
     try:
-        arr = np.asarray(values, dtype=np.float64)
+        arr = np.asarray(values)
     except (TypeError, ValueError) as exc:
-        # ragged rows, or entries that are not real numbers
+        # ragged rows
         raise DataError(f"{name} is not a numeric {kind}: {exc}") from None
+    if arr.dtype.kind not in "iuf":
+        raise DataError(f"{name} is not a numeric {kind}: dtype {arr.dtype}")
+    # a longdouble beyond float64 becomes inf, rejected below
+    with np.errstate(over="ignore"):
+        arr = arr.astype(np.float64, copy=False)
     if arr.ndim != ndim:
         raise DataError(f"{name} must be {rank}, got shape {arr.shape}")
     if arr.size < 1:

@@ -135,7 +135,12 @@ def parse_population_config(text: str) -> PopulationConfig:
         # checked before expanding, since repeat counts are unbounded
         if n_values != dim:
             raise DataError(f"config key '{key}' expands to {n_values} values, expected dim={dim}")
-        fields[f"{key}_variances"] = np.repeat(values, counts)
+        try:
+            fields[f"{key}_variances"] = np.repeat(values, counts)
+        except (ValueError, OverflowError):  # numpy's array size limits
+            raise DataError(
+                f"config key '{key}' expands to {dim} values, too many for an array"
+            ) from None
     return PopulationConfig(**fields)
 
 

@@ -77,6 +77,20 @@ class TestSynth:
         assert captured.err.count("\n") == 1 and captured.err.startswith("error:data:draw count ")
         assert not (tmp_path / "emb.csv").exists()
 
+    @pytest.mark.parametrize("dim", [2**62, 10**20])
+    def test_dimension_past_any_array_is_one_data_line(self, tmp_path, capsys, dim):
+        (tmp_path / "pop.cfg").write_text(
+            f"n_speakers=2\nutts_per_speaker=2\ndim={dim}\n"
+            f"between=1x{dim}\nwithin=1x{dim}\nseed=1\n"
+        )
+        assert main(["synth", "--config", str(tmp_path / "pop.cfg"),
+                     "--out", str(tmp_path / "emb.csv")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error:data:config key 'between' expands to {dim} values, too many for an array\n"
+        )
+
     def test_binary_output(self, tmp_path):
         (tmp_path / "pop.cfg").write_text(POP_CONFIG)
         main(["synth", "--config", str(tmp_path / "pop.cfg"),
@@ -472,6 +486,16 @@ class TestSweep:
                      "--out", str(workdir / "s.csv")]) == 1
         assert capsys.readouterr().err == f"error:data:{message}\n"
         assert not (workdir / "s.csv").exists()
+
+    @pytest.mark.parametrize("k", [["--k=-1:3:1"], ["--k", "-1:3:1"]], ids=["joined", "split"])
+    def test_negative_first_size_in_either_spelling(self, workdir, capsys, k):
+        assert main(["sweep", "--space", str(workdir / "space.vsp"),
+                     "--embeddings", str(workdir / "emb.csv"),
+                     "--trials", str(workdir / "trials.txt"),
+                     "--family", "primary", *k, "--out", str(workdir / "s.csv")]) == 1
+        assert capsys.readouterr().err == (
+            "error:data:size -1 unresolvable: subspace size must be >= 0, got -1\n"
+        )
 
     def test_size_above_dimension_rejected_before_expansion(self, workdir, capsys):
         # sizes are read one at a time: the first bad one stops the 10^19-long range

@@ -358,6 +358,12 @@ def _between(tokens):
     return lambda: parse_population_config(_CONFIG_TEXT + f"between={tokens}\n")
 
 
+def _huge_dim(dim):
+    return lambda: parse_population_config(
+        f"n_speakers=2\nutts_per_speaker=2\ndim={dim}\nbetween=1x{dim}\nwithin=1x{dim}\nseed=1\n"
+    )
+
+
 def _two_speakers():
     return EmbeddingSet(("u1", "u2"), ("a", "b"), [[1.0, 0.0], [0.0, 1.0]])
 
@@ -387,6 +393,15 @@ RAISES = {
     ),
     "make-trials-no-nontarget": (lambda: make_trials(_two_speakers(), 0, seed=1), DataError,
                                  "nontarget count must be >= 1, got 0"),
+    # numpy's "array is too big", then a count that is no C long
+    "config-expands-past-array-size": (
+        _huge_dim(2**62), DataError,
+        "config key 'between' expands to 4611686018427387904 values, too many for an array",
+    ),
+    "config-expands-past-c-long": (
+        _huge_dim(10**20), DataError,
+        "config key 'between' expands to 100000000000000000000 values, too many for an array",
+    ),
 }
 
 
