@@ -590,10 +590,9 @@ def load_trials(source) -> TrialList:
     entries = []
     with open_text(source) as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
+            fields = raw.split()
+            if not fields:
                 continue
-            fields = line.split()
             if len(fields) != 3:
                 raise FormatError(
                     f"trials line {lineno}: expected 3 whitespace-separated fields"

@@ -3,6 +3,7 @@ from a seeded counter-based stream, and trial lists over them."""
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,29 +105,27 @@ def parse_population_config(text: str) -> PopulationConfig:
     """Parse the flat key-value config syntax.
 
     Required keys: n_speakers, utts_per_speaker, dim, between, within, seed.
-    The variance keys use comma-separated run-length tokens
-    (``0.9x8,0.0x24``) that must expand to exactly ``dim`` values. Blank
-    lines and ``#`` comments are ignored.
+    The variance keys use comma-separated run-length tokens (``0.9x8,0.0x24``)
+    that must expand to exactly ``dim`` values. Blank lines and ``#``
+    comments are ignored; only ``\\n``, ``\\r\\n`` and ``\\r`` end a line.
     """
+    required = ("n_speakers", "utts_per_speaker", "dim", "between", "within", "seed")
     entries: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(io.StringIO(text, newline=""), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
+        key, sep, value = map(str.strip, line.partition("="))
+        if not sep:
             raise DataError(f"config line {lineno}: expected key=value")
-        key, _, value = line.partition("=")
-        key = key.strip()
+        if key not in required:
+            raise DataError(f"config line {lineno}: unknown key '{key}'")
         if key in entries:
             raise DataError(f"config line {lineno}: duplicate key '{key}'")
-        entries[key] = value.strip()
-    required = ("n_speakers", "utts_per_speaker", "dim", "between", "within", "seed")
+        entries[key] = value
     for key in required:
         if key not in entries:
             raise DataError(f"config is missing required key '{key}'")
-    for key in entries:
-        if key not in required:
-            raise DataError(f"config has unknown key '{key}'")
     integers = ("n_speakers", "utts_per_speaker", "dim", "seed")
     fields = {key: parse_int(entries[key], key) for key in integers}
     for key in ("between", "within"):

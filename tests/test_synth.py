@@ -148,17 +148,25 @@ seed=515
         assert np.array_equal(config.between_variances[8:], np.zeros(24))
         assert np.array_equal(config.within_variances, np.full(32, 0.1))
 
-    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
-    def test_file_line_ends_read_alike(self, tmp_path, ending):
+    # the line ends a file may use, then characters str.splitlines() also
+    # breaks at, each inside the comment on line 2, where they end no line
+    @pytest.mark.parametrize(
+        "ending, inside",
+        [("\n", ""), ("\r\n", ""), ("\r", "")]
+        + [("\n", c) for c in "\v\f\x1c\x1d\x1e\x85\u2028\u2029"],
+        ids=["lf", "crlf", "cr", "vt", "ff", "fs", "gs", "rs", "nel", "ls", "ps"],
+    )
+    def test_file_line_ends_read_alike(self, tmp_path, ending, inside):
+        text = self.TEXT.replace("synthetic", "synthetic" + inside)
         path = tmp_path / "population.cfg"
-        path.write_bytes(self.TEXT.replace("\n", ending).encode())
+        path.write_bytes(text.replace("\n", ending).encode())
         config = load_population_config(path)
         expected = parse_population_config(self.TEXT)
         for name in ("n_speakers", "utts_per_speaker", "dim", "seed"):
             assert getattr(config, name) == getattr(expected, name)
         for name in ("between_variances", "within_variances"):
             assert np.array_equal(getattr(config, name), getattr(expected, name))
-        path.write_bytes((self.TEXT + "oops\n").replace("\n", ending).encode())
+        path.write_bytes((text + "oops\n").replace("\n", ending).encode())
         assert_raises_exactly(
             lambda: load_population_config(path), DataError, "config line 9: expected key=value"
         )
@@ -193,12 +201,18 @@ seed=515
         assert "utts_per_speaker" in str(err.value)
 
     def test_unknown_key(self):
-        with pytest.raises(DataError):
-            parse_population_config(self.TEXT + "bogus=1\n")
+        assert_raises_exactly(
+            lambda: parse_population_config(self.TEXT + "bogus=1\n"),
+            DataError,
+            "config line 9: unknown key 'bogus'",
+        )
 
     def test_duplicate_key(self):
-        with pytest.raises(DataError):
-            parse_population_config(self.TEXT + "seed=2\n")
+        assert_raises_exactly(
+            lambda: parse_population_config(self.TEXT + "seed=2\n"),
+            DataError,
+            "config line 9: duplicate key 'seed'",
+        )
 
     def test_negative_variance(self):
         with pytest.raises(DataError):
