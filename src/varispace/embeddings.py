@@ -15,7 +15,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DataError, FormatError
-from .linalg import frozen, parse_number
+from .linalg import as_int, frozen, parse_number
 
 EMBEDDINGS_MAGIC = b"EMB1"
 EMBEDDINGS_VERSION = 1
@@ -262,33 +262,35 @@ def write_table(destination, header, rows) -> None:
 
 
 def read_table(source, what: str, header, converters, build=lambda *values: values) -> list:
-    """The rows of a CSV table written by :func:`write_table`, each field passed
-    to its converter as ``convert(text, column name)`` (None keeps the text),
-    then the row to ``build``. A bad header, field count or value (a ValueError
-    from a converter or ``build``) raises FormatError naming ``what`` and the line."""
+    """The records of a CSV table written by :func:`write_table`, blank ones
+    skipped, as (file line the record starts on, built record) pairs. Each
+    field is passed to its converter as ``convert(text, column name)`` (None
+    keeps the text), then the record to ``build``. A bad header, field count
+    or value (a ValueError from a converter or ``build``) raises FormatError
+    naming ``what`` and the line."""
     with open_text(source) as fh:
-        records = list(_records(csv.reader(fh)))
-    if not records or records[0][1] != list(header):
-        raise FormatError(f"{what} CSV has a bad header")
-    parsed = []
-    for lineno, row in records[1:]:
-        if len(row) != len(header):
-            raise FormatError(f"{what} CSV line {lineno}: expected {len(header)} fields")
-        try:
-            columns = zip(converters, row, header)
-            values = [convert(text, name) if convert else text for convert, text, name in columns]
-            parsed.append(build(*values))
-        except ValueError as exc:
-            raise FormatError(f"{what} CSV line {lineno}: {exc}") from None
-    return parsed
-
-
-def _records(reader):
-    """The reader's remaining records, each with the file line it starts on."""
-    start = reader.line_num + 1
-    for row in reader:
-        yield start, row
+        reader = csv.reader(fh)
+        if next(reader, None) != list(header):
+            raise FormatError(f"{what} CSV has a bad header")
+        parsed = []
         start = reader.line_num + 1
+        for row in reader:
+            lineno, start = start, reader.line_num + 1
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise FormatError(
+                    f"{what} CSV line {lineno}: expected {len(header)} fields, got {len(row)}"
+                )
+            try:
+                values = [
+                    convert(text, name) if convert else text
+                    for convert, text, name in zip(converters, row, header)
+                ]
+                parsed.append((lineno, build(*values)))
+            except ValueError as exc:
+                raise FormatError(f"{what} CSV line {lineno}: {exc}") from None
+    return parsed
 
 
 def read_binary(source, layout: str, magic: bytes, version: int, what: str):
@@ -375,18 +377,36 @@ def _save_csv(embeddings: EmbeddingSet, destination) -> None:
 
 
 def _load_csv(source) -> EmbeddingSet:
-    try:
-        utts, spks, vectors = _read_plain_csv(source)
-    except ValueError:
-        # the row reader alone decides what else is accepted, and reports
-        # every error with its line
-        return _load_csv_rows(source)
-    vectors.setflags(write=False)  # locked and unshared: the set keeps it
-    return EmbeddingSet(tuple(utts), tuple(spks), vectors)
+    with open_text(source) as fh:
+        header = _read_csv_header(csv.reader(fh))
+        names, d = header[2:], len(header) - 2
+        try:
+            utts, spks, vectors = _read_plain_csv(fh, d)
+        except ValueError:
+            pass  # read_table alone decides what else is accepted
+        else:
+            vectors.setflags(write=False)  # locked and unshared: the set keeps it
+            return EmbeddingSet(tuple(utts), tuple(spks), vectors)
+
+    def build(utt, spk, *values):
+        joined = "".join(values)  # ASCII without "_" if and only if every value is
+        if joined.isascii() and "_" not in joined:
+            try:
+                return utt, spk, np.fromiter(map(float, values), dtype=np.float64, count=d)
+            except ValueError:
+                pass
+        # value by value, by linalg.parse_number's rule, so that the first bad
+        # one names its column; the set rejects a non-finite one
+        return utt, spk, [parse_number(float, text, name) for text, name in zip(values, names)]
+
+    records = read_table(source, "embeddings", header, [None] * len(header), build)
+    if not records:
+        raise DataError("embeddings CSV contains no records")
+    return EmbeddingSet(*zip(*(record for _, record in records)))
 
 
-def _read_csv_header(reader) -> int:
-    """The dimension D named by an embeddings CSV header."""
+def _read_csv_header(reader) -> list:
+    """An embeddings CSV header, ``utt_id,spk_id,d1,...,dD``."""
     try:
         header = next(reader)
     except StopIteration:
@@ -396,7 +416,7 @@ def _read_csv_header(reader) -> int:
     d = len(header) - 2
     if header[2:] != [f"d{i}" for i in range(1, d + 1)]:
         raise FormatError("embeddings CSV header has bad dimension columns")
-    return d
+    return header
 
 
 # characters that make csv and np.loadtxt read a line differently: a quote,
@@ -405,73 +425,40 @@ def _read_csv_header(reader) -> int:
 _NOT_PLAIN = '"\x1c\x1d\x1e\x1f'
 
 
-def _read_plain_csv(source) -> tuple[list, list, np.ndarray]:
-    """The ids and the (N, D) values of an embeddings CSV read with one
-    ``np.loadtxt`` pass, for a body whose lines hold D + 1 commas, none of
-    ``_NOT_PLAIN`` and no more than ``_CSV_LIMIT`` characters: there csv's
-    fields are the comma-separated pieces. Raises on any other body."""
-    with open_text(source) as fh:
-        d = _read_csv_header(csv.reader(fh))
-        utts, spks = [], []
+def _read_plain_csv(fh, d: int) -> tuple[list, list, np.ndarray]:
+    """The ids and the (N, D) values of an embeddings CSV body, the rest of
+    ``fh``, read with one ``np.loadtxt`` pass, for a body whose lines hold
+    D + 1 commas, none of ``_NOT_PLAIN`` and no more than ``_CSV_LIMIT``
+    characters: there csv's fields are the comma-separated pieces. Raises on
+    any other body."""
+    utts, spks = [], []
 
-        def lines():
-            for line in fh:
-                if line in ("\n", "\r\n", "\r"):
-                    continue
-                if (
-                    len(line) > _CSV_LIMIT
-                    or line.count(",") != d + 1
-                    or any(map(line.__contains__, _NOT_PLAIN))
-                ):
-                    raise ValueError("not a plain line")
-                utt, spk, values = line.split(",", 2)
-                if not values.isascii():  # loadtxt strips non-ASCII spaces
-                    raise ValueError("not a plain line")
-                utts.append(utt)
-                spks.append(spk)
-                yield line
-            if not utts:
-                raise ValueError("no records")
+    def lines():
+        for line in fh:
+            if line in ("\n", "\r\n", "\r"):
+                continue
+            if (
+                len(line) > _CSV_LIMIT
+                or line.count(",") != d + 1
+                or any(map(line.__contains__, _NOT_PLAIN))
+            ):
+                raise ValueError("not a plain line")
+            utt, spk, values = line.split(",", 2)
+            if not values.isascii():  # loadtxt strips non-ASCII spaces
+                raise ValueError("not a plain line")
+            utts.append(utt)
+            spks.append(spk)
+            yield line
+        if not utts:
+            raise ValueError("no records")
 
-        vectors = np.loadtxt(
-            lines(), dtype=np.float64, delimiter=",", quotechar=None, comments=None,
-            usecols=range(2, d + 2), ndmin=2,
-        )
+    vectors = np.loadtxt(
+        lines(), dtype=np.float64, delimiter=",", quotechar=None, comments=None,
+        usecols=range(2, d + 2), ndmin=2,
+    )
     if len(vectors) != len(utts):
         raise ValueError("loadtxt skipped a line")
     return utts, spks, vectors
-
-
-def _load_csv_rows(source) -> EmbeddingSet:
-    """The embeddings CSV read row by row through ``csv``, each value by
-    ``linalg.parse_number``'s rule; the set rejects a non-finite one."""
-    with open_text(source) as fh:
-        reader = csv.reader(fh)
-        d = _read_csv_header(reader)
-        utts, spks, rows = [], [], []
-        for lineno, row in _records(reader):
-            if not row:
-                continue
-            if len(row) != d + 2:
-                raise FormatError(
-                    f"embeddings CSV line {lineno}: expected {d + 2} fields, got {len(row)}"
-                )
-            utts.append(row[0])
-            spks.append(row[1])
-            values = row[2:]
-            joined = "".join(values)  # ASCII without "_" if and only if every value is
-            if joined.isascii() and "_" not in joined:
-                try:
-                    rows.append(np.fromiter(map(float, values), dtype=np.float64, count=d))
-                    continue
-                except ValueError:
-                    pass
-            # value by value, so that the first one parse_number rejects names its column
-            names = (f"embeddings CSV line {lineno}: d{j}" for j in range(1, d + 1))
-            rows.append([parse_number(float, text, name) for text, name in zip(values, names)])
-    if not rows:
-        raise DataError("embeddings CSV contains no records")
-    return EmbeddingSet(tuple(utts), tuple(spks), rows)
 
 
 def _save_binary(embeddings: EmbeddingSet, destination) -> None:
@@ -567,8 +554,8 @@ class TrialList:
                 )
             if not isinstance(t.target, (bool, np.bool_)):
                 raise DataError(f"trial {i}: target must be a bool, got {t.target!r}")
-            if not (t.line is None or type(t.line) is int and t.line > 0):
-                raise DataError(f"trial {i}: line must be a positive integer, got {t.line!r}")
+            if t.line is not None:
+                as_int(t.line, f"trial {i}: line", 1)
         labels = np.fromiter((t.target for t in entries), dtype=bool, count=len(entries))
         labels.setflags(write=False)
         n_target = int(labels.sum())

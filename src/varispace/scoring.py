@@ -325,4 +325,5 @@ def write_sweep_csv(result: SweepResult, destination) -> None:
 
 def read_sweep_csv(source) -> SweepResult:
     converters = (None, parse_int, parse_int, None, parse_real, parse_int, parse_int)
-    return SweepResult(rows=tuple(read_table(source, "sweep", SWEEP_HEADER, converters, SweepRow)))
+    records = read_table(source, "sweep", SWEEP_HEADER, converters, SweepRow)
+    return SweepResult(rows=tuple(row for _, row in records))

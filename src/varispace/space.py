@@ -263,14 +263,14 @@ def write_spectrum_csv(space: VariabilitySpace, destination) -> None:
 def read_spectrum_csv(source) -> tuple[np.ndarray, np.ndarray]:
     """Parse a spectrum CSV back into (log_eigenvalues, deltas)."""
     converters = (parse_int, parse_real, lambda text, name: text and parse_real(text, name))
-    rows = read_table(source, "spectrum", SPECTRUM_HEADER, converters)
-    if not rows:
+    records = read_table(source, "spectrum", SPECTRUM_HEADER, converters)
+    if not records:
         raise FormatError("spectrum CSV has no rows")
-    for index, (written, _, delta) in enumerate(rows, start=1):
+    for index, (lineno, (written, _, delta)) in enumerate(records, start=1):
         if written != index:
-            raise FormatError(f"spectrum CSV line {index + 1}: index out of order")
-        if (index == len(rows)) != (delta == ""):
+            raise FormatError(f"spectrum CSV line {lineno}: index out of order")
+        if (index == len(records)) != (delta == ""):
             raise FormatError(
-                f"spectrum CSV line {index + 1}: delta must be empty on the last row only"
+                f"spectrum CSV line {lineno}: delta must be empty on the last row only"
             )
-    return np.array([row[1] for row in rows]), np.array([row[2] for row in rows[:-1]])
+    return np.array([row[1] for _, row in records]), np.array([row[2] for _, row in records[:-1]])

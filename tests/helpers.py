@@ -616,7 +616,7 @@ def load_csv_oracle(source) -> EmbeddingSet:
             spks.append(row[1])
             for column, text in enumerate(row[2:], start=1):
                 if not _REAL.fullmatch(text):
-                    raise DataError(
+                    raise FormatError(
                         f"embeddings CSV line {lineno}: d{column} must be a real number, "
                         f"got {text!r}"
                     )

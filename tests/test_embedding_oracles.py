@@ -215,7 +215,7 @@ def plain_set(n=4000, d=128):
     return EmbeddingSet(utts, spks, rng.standard_normal((n, d)) * 10.0 ** rng.integers(-300, 300, (n, d)))
 
 
-def refuse_row_reader(source):
+def refuse_row_reader(*args):
     raise AssertionError("the row reader ran")
 
 
@@ -229,7 +229,7 @@ def test_written_csv_loads_without_the_row_reader(tmp_path, monkeypatch, end):
     path.write_text(end.join(lines[:50] + ["", ""] + lines[50:] + [""]), encoding="utf-8",
                     newline="")
 
-    monkeypatch.setattr(embeddings, "_load_csv_rows", refuse_row_reader)
+    monkeypatch.setattr(embeddings, "read_table", refuse_row_reader)
     got = load_embeddings(path)
     assert got.utt_ids == emb.utt_ids
     assert got.spk_ids == emb.spk_ids
@@ -245,7 +245,7 @@ def test_csv_errors_other_than_value_errors_skip_the_row_reader(tmp_path, monkey
         raise error("stand-in")
 
     monkeypatch.setattr(embeddings.np, "loadtxt", fail)
-    monkeypatch.setattr(embeddings, "_load_csv_rows", refuse_row_reader)
+    monkeypatch.setattr(embeddings, "read_table", refuse_row_reader)
     with pytest.raises(error, match="^stand-in$"):
         load_embeddings(tmp_path / "emb.csv")
 

@@ -169,7 +169,7 @@ class TestCsvFormat:
         # the quoted id spans lines 2-3, so the bad value sits on line 4
         path = tmp_path / "emb.csv"
         path.write_text('utt_id,spk_id,d1\n"a\nb",s,1\nu2,s,x\n')
-        assert_raises_exactly(lambda: load_embeddings(path), DataError,
+        assert_raises_exactly(lambda: load_embeddings(path), FormatError,
                               "embeddings CSV line 4: d1 must be a real number, got 'x'")
 
     @pytest.mark.parametrize("side", ["utt", "spk"])
@@ -450,18 +450,20 @@ class TestTrials:
             (Trial(1, "u", True), "trial 2: ids must be strings, got 1 and 'u'"),
             (Trial("a", b"u", False), "trial 2: ids must be strings, got 'a' and b'u'"),
             (("a", "u", True), "trial 2: expected a Trial, got ('a', 'u', True)"),
-            (Trial("a", "u", True, line="x"), "trial 2: line must be a positive integer, got 'x'"),
-            (Trial("a", "u", True, line=0), "trial 2: line must be a positive integer, got 0"),
-            (Trial("a", "u", True, line=True), "trial 2: line must be a positive integer, got True"),
-            (Trial("a", "u", True, line=2.0), "trial 2: line must be a positive integer, got 2.0"),
+            (Trial("a", "u", True, line="x"), "trial 2: line must be an integer, got 'x'"),
+            (Trial("a", "u", True, line=0), "trial 2: line must be >= 1, got 0"),
+            (Trial("a", "u", True, line=True), "trial 2: line must be an integer, got True"),
+            (Trial("a", "u", True, line=2.0), "trial 2: line must be an integer, got 2.0"),
         ],
     )
     def test_rejects_non_string_ids_and_non_bool_targets(self, trial, message):
-        # a numpy bool is a bool; the second trial is named by its position
+        # a numpy bool is a bool and a numpy integer an integer; the second
+        # trial is named by its position
         with pytest.raises(DataError) as err:
             TrialList((Trial("a", "u", np.True_), trial))
         assert str(err.value) == message
-        assert TrialList((Trial("a", "u", np.True_), Trial("a", "v", False))).n_target == 1
+        accepted = (Trial("a", "u", np.True_), Trial("a", "v", False, line=np.int64(3)))
+        assert TrialList(accepted).n_target == 1
 
     def test_unicode_ids_round_trip(self, tmp_path):
         trials = TrialList((Trial("спикер", "码u1", True), Trial("s,2", "u\"2", False)))

@@ -481,6 +481,14 @@ RAISES = {
         lambda tmp: read_spectrum_csv(_spectrum_file(tmp, "1,0.5,-0.1\n3,0.4,\n")),
         FormatError, "spectrum CSV line 3: index out of order",
     ),
+    "spectrum-index-order-after-blank-line": (
+        lambda tmp: read_spectrum_csv(_spectrum_file(tmp, "1,0.5,-0.1\n\n3,0.4,\n")),
+        FormatError, "spectrum CSV line 4: index out of order",
+    ),
+    "spectrum-width": (
+        lambda tmp: read_spectrum_csv(_spectrum_file(tmp, "1,0.5,-0.1\n2,0.4\n")),
+        FormatError, "spectrum CSV line 3: expected 3 fields, got 2",
+    ),
     "space-header-truncated": (
         lambda tmp: load_space(_space_file(tmp, b"VSP1" + struct.pack("<I", 1))),
         FormatError, "space file truncated: 8 bytes",

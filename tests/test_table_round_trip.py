@@ -1,7 +1,7 @@
 """Round-trip properties of the spectrum and sweep CSVs, through the public
 writers and readers: valid sweep rows and the spectra of random spaces read
 back unchanged, floats bit for bit (``-0.0`` stays negative, subnormals and
-the largest double survive)."""
+the largest double survive), and blank lines put in change nothing."""
 
 import numpy as np
 import pytest
@@ -44,6 +44,15 @@ sweep_rows = st.builds(
 )
 
 
+def put_in_blank_lines(path):
+    """Rewrite a written table with a blank line after its middle line and
+    one at its end."""
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    middle = (len(lines) + 1) // 2
+    path.write_text("".join(lines[:middle] + ["\n"] + lines[middle:] + ["\r\n"]),
+                    encoding="utf-8", newline="")
+
+
 @PROPERTY
 @given(rows=st.lists(sweep_rows, max_size=6))
 def test_sweep_rows_read_back_bit_for_bit(tmp_path, rows):
@@ -52,6 +61,8 @@ def test_sweep_rows_read_back_bit_for_bit(tmp_path, rows):
     loaded = read_sweep_csv(path).rows
     assert loaded == tuple(rows)
     assert [r.eer_percent.hex() for r in loaded] == [r.eer_percent.hex() for r in rows]
+    put_in_blank_lines(path)
+    assert read_sweep_csv(path).rows == loaded
 
 
 @st.composite
@@ -81,6 +92,10 @@ def test_spectrum_reads_back_exactly(tmp_path, space):
     logs, deltas = read_spectrum_csv(path)
     assert np.array_equal(logs, log_spectrum(space))
     assert np.array_equal(deltas, np.diff(log_spectrum(space)))
+    put_in_blank_lines(path)
+    blank_logs, blank_deltas = read_spectrum_csv(path)
+    assert blank_logs.tobytes() == logs.tobytes()
+    assert blank_deltas.tobytes() == deltas.tobytes()
 
 
 @pytest.mark.parametrize(

@@ -120,7 +120,7 @@ SITES = {
     ),
     "embeddings-csv": (
         lambda t, tmp: load_embeddings(_file(tmp, f"utt_id,spk_id,d1,d2\nu1,s,0.5,{t}\n")),
-        DataError, "embeddings CSV line 2: d2 must be a real number, got {0}",
+        FormatError, "embeddings CSV line 2: d2 must be a real number, got {0}",
     ),
 }
 # an underscore, a non-ASCII digit (Arabic-Indic five) and a non-number
