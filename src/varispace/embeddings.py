@@ -268,6 +268,7 @@ def read_table(source, what: str, header, converters, build=lambda *values: valu
     keeps the text), then the record to ``build``. A bad header, field count
     or value (a ValueError from a converter or ``build``) raises FormatError
     naming ``what`` and the line."""
+    converting = any(converters)
     with open_text(source) as fh:
         reader = csv.reader(fh)
         if next(reader, None) != list(header):
@@ -283,11 +284,12 @@ def read_table(source, what: str, header, converters, build=lambda *values: valu
                     f"{what} CSV line {lineno}: expected {len(header)} fields, got {len(row)}"
                 )
             try:
-                values = [
-                    convert(text, name) if convert else text
-                    for convert, text, name in zip(converters, row, header)
-                ]
-                parsed.append((lineno, build(*values)))
+                if converting:
+                    row = [
+                        convert(text, name) if convert else text
+                        for convert, text, name in zip(converters, row, header)
+                    ]
+                parsed.append((lineno, build(*row)))
             except ValueError as exc:
                 raise FormatError(f"{what} CSV line {lineno}: {exc}") from None
     return parsed

@@ -2,7 +2,8 @@
 sample covariance estimation, and a symmetric eigensolver (LAPACK via numpy).
 
 Vectors are 1-D float64 arrays, matrices 2-D float64 arrays. All functions
-are pure; returned arrays never alias their inputs, save where :func:`frozen` keeps one.
+are pure; returned arrays never alias their inputs, save where :func:`frozen`
+keeps one and where :func:`as_array` returns a float64 array as itself.
 """
 
 from __future__ import annotations
@@ -150,11 +151,7 @@ def covariance(vectors) -> np.ndarray:
         cov = centered.T @ centered / (n - 1)
         # BLAS accumulation order may differ across the diagonal; make symmetry exact.
         cov = 0.5 * (cov + cov.T)
-    if not np.all(np.isfinite(cov)):
-        raise NumericalError(
-            f"covariance of {n} observations overflows float64 "
-            f"(max |entry| {float(np.max(np.abs(data))):.3e})"
-        )
+    check_finite(f"covariance of {n} observations overflows float64", cov)
     return cov
 
 

@@ -4,14 +4,13 @@ sweeps that tabulate EER against the removed block size."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import astuple, dataclass
 from typing import Mapping
 
 import numpy as np
 
 from .embeddings import EmbeddingSet, TrialList, read_table, write_table
-from .errors import DataError, NumericalError
+from .errors import DataError
 from .linalg import as_array, as_int, as_real, check_finite, frozen, parse_int, parse_real
 from .space import VariabilitySpace
 from .subspace import BACKWARD, FORWARD, SWEEP_FAMILIES, SubspaceSpec, resolve_indices
@@ -28,9 +27,8 @@ def build_enrollment(embeddings: EmbeddingSet, speaker: str) -> np.ndarray:
     if not rows.size:
         raise DataError(f"unknown speaker '{speaker}'")
     mean = embeddings.vectors[rows].mean(axis=0)
-    norm = float(np.linalg.norm(mean))
-    if not math.isfinite(norm):
-        raise NumericalError(f"speaker '{speaker}': enrollment model norm overflows float64")
+    norm = np.linalg.norm(mean)
+    check_finite(f"speaker '{speaker}': enrollment model norm overflows float64", norm)
     if norm <= _ZERO_NORM:
         raise DataError(f"speaker '{speaker}' has a zero-mean enrollment model")
     return mean / norm
@@ -243,11 +241,9 @@ def run_sweep(
     if family == "secondary":
         if turning_dim is None:
             raise DataError("secondary-family sweeps require the turning dimension")
-        turning_dim = as_int(turning_dim, "turning dimension")
-        if not 1 <= turning_dim <= space.dim:
-            raise DataError(
-                f"turning dimension {turning_dim} outside [1, {space.dim}]"
-            )
+        turning_dim = as_int(turning_dim, "turning dimension", 1)
+        if turning_dim > space.dim:
+            raise DataError(f"turning dimension {turning_dim} exceeds dimension {space.dim}")
     start, direction = {
         "primary": (1, FORWARD),
         "secondary": (turning_dim, BACKWARD),

@@ -8,7 +8,6 @@ basis columns ``B_S``, it subtracts ``(x B_S) B_S^T``.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,9 +146,5 @@ def modify_batch_with_energy(
     indices = resolve_indices(spec, space.dim)
     space.check_dim(embeddings.dim)
     rows, removed = _remove_block(space, embeddings.vectors, indices)
-    # the input's ids and lookup maps are checked and never mutated, and the
-    # kernel's rows are finite: share them rather than validate them again
-    modified = copy.copy(embeddings)
-    rows.setflags(write=False)
-    object.__setattr__(modified, "vectors", rows)
-    return modified, removed
+    rows.setflags(write=False)  # locked and unshared: the set keeps it
+    return EmbeddingSet(embeddings.utt_ids, embeddings.spk_ids, rows), removed

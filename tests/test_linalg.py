@@ -8,7 +8,26 @@ from helpers import (
     eig2x2_charpoly,
     jacobi_eig_oracle,
 )
-from varispace import DataError, EmbeddingSet, NumericalError, cosine, covariance, eig_sym
+from varispace import (
+    DataError,
+    EmbeddingSet,
+    NumericalError,
+    SubspaceSpec,
+    Trial,
+    TrialList,
+    VariabilitySpace,
+    build_enrollment,
+    cosine,
+    covariance,
+    eig_sym,
+    modify,
+    modify_batch,
+    modify_batch_with_energy,
+    project,
+    reconstruct,
+    run_sweep,
+    score_trials,
+)
 from varispace.linalg import fix_eigvec_signs
 
 
@@ -240,3 +259,46 @@ RAISES = {
 @pytest.mark.parametrize("call, error, message", RAISES.values(), ids=RAISES.keys())
 def test_raise_branch_message(call, error, message):
     assert_raises_exactly(call, error, message)
+
+
+# finite inputs whose arithmetic overflows float64; the basis is a rotation,
+# so removing its first column leaves a finite coefficient but overflowing rows
+ROTATION = VariabilitySpace(
+    mean=np.zeros(2), basis=[[0.6, -0.8], [0.8, 0.6]], eigenvalues=[2.0, 1.0]
+)
+AXES = VariabilitySpace(mean=np.zeros(2), basis=np.eye(2), eigenvalues=[2.0, 1.0])
+FIRST = SubspaceSpec(1, 1, "+")
+HUGE = EmbeddingSet(("u1", "u2"), ("a", "b"), [[1e200, -1e200], [1.0, 2.0]])
+PAIR = TrialList((Trial("a", "u1", True), Trial("b", "u1", False)))
+MODELS = {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])}
+COSINE = "cosine: a norm or inner product overflows float64"
+
+# every float64 overflow in the package: one NumericalError from check_finite
+OVERFLOWS = {
+    "covariance": (lambda: covariance([[1e300], [-1e300], [1e300]]),
+                   "covariance of 3 observations overflows float64"),
+    "build_enrollment": (lambda: build_enrollment(HUGE, "a"),
+                         "speaker 'a': enrollment model norm overflows float64"),
+    "cosine": (lambda: cosine([1e200, -1e200], [1.0, 0.0]), COSINE),
+    "score_trials": (lambda: score_trials(MODELS, HUGE, PAIR), COSINE),
+    "run_sweep": (lambda: run_sweep(AXES, HUGE, PAIR, "residual", [0]), COSINE),
+    "project": (lambda: project(ROTATION, [1.7e308, 1.7e308]),
+                "projection overflows float64"),
+    "reconstruct": (lambda: reconstruct(ROTATION, [1.7e308, 1.7e308]),
+                    "reconstruction overflows float64"),
+    "modify-rows": (lambda: modify(ROTATION, [1.7e308, -1.7e308], FIRST),
+                    "modified embeddings overflow float64"),
+    "modify-energy": (lambda: modify(AXES, [1e200, -1e200], FIRST),
+                      "removed energy overflows float64"),
+    "modify_batch-rows": (
+        lambda: modify_batch(ROTATION, EmbeddingSet(("u",), ("a",), [[1.7e308, -1.7e308]]), FIRST),
+        "modified embeddings overflow float64",
+    ),
+    "modify_batch_with_energy-energy": (lambda: modify_batch_with_energy(AXES, HUGE, FIRST),
+                                        "removed energy overflows float64"),
+}
+
+
+@pytest.mark.parametrize("call, message", OVERFLOWS.values(), ids=OVERFLOWS.keys())
+def test_every_overflow_is_one_numerical_error(call, message):
+    assert_raises_exactly(call, NumericalError, message)

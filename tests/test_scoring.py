@@ -444,11 +444,11 @@ RAISES = {
     ),
     "sweep-turning-below-one": (
         lambda: run_sweep(*AXIS, "secondary", [0], turning_dim=0), DataError,
-        "turning dimension 0 outside [1, 3]",
+        "turning dimension must be >= 1, got 0",
     ),
     "sweep-turning-above-dim": (
         lambda: run_sweep(*AXIS, "secondary", [0], turning_dim=4), DataError,
-        "turning dimension 4 outside [1, 3]",
+        "turning dimension 4 exceeds dimension 3",
     ),
     "sweep-no-sizes": (lambda: run_sweep(*AXIS, "primary", []), DataError,
                        "sweep needs at least one size"),

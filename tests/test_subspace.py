@@ -16,6 +16,7 @@ from varispace import (
     project,
     reconstruct,
     resolve_indices,
+    subspace,
 )
 
 
@@ -226,12 +227,23 @@ class TestModifyBatch:
             assert removed[i] == energy
 
     @pytest.mark.parametrize("size", [0, 3])
-    def test_result_shares_lookups_not_vectors(self, size):
+    def test_result_keeps_the_kernel_rows_and_the_lookups(self, size, monkeypatch):
         rng = np.random.default_rng(72)
         space = _fitted_space(rng, 6)
         batch = self._batch(rng, 9, 6)
+        made = []
+        kernel = subspace._remove_block
+
+        def spy(*args):
+            rows, removed = kernel(*args)
+            made.append(rows)
+            return rows, removed
+
+        monkeypatch.setattr(subspace, "_remove_block", spy)
         out = modify_batch(space, batch, SubspaceSpec(2, size, "+"))
-        assert not out.vectors.flags.writeable
+        # the set keeps the kernel's rows, read-only, without a copy
+        assert out.vectors is made[0]
+        assert not out.vectors.flags.writeable and out.vectors.flags.owndata
         assert not np.shares_memory(out.vectors, batch.vectors)
         assert (out.utt_ids, out.spk_ids) == (batch.utt_ids, batch.spk_ids)
         assert out.speakers() == batch.speakers()
