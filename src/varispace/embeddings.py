@@ -458,8 +458,6 @@ def _read_plain_csv(fh, d: int) -> tuple[list, list, np.ndarray]:
         lines(), dtype=np.float64, delimiter=",", quotechar=None, comments=None,
         usecols=range(2, d + 2), ndmin=2,
     )
-    if len(vectors) != len(utts):
-        raise ValueError("loadtxt skipped a line")
     return utts, spks, vectors
 
 

@@ -5,6 +5,7 @@ sweeps that tabulate EER against the removed block size."""
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
+from functools import partial
 from typing import Mapping
 
 import numpy as np
@@ -212,6 +213,37 @@ class SweepResult:
                 raise DataError(f"sweep row {i}: expected a SweepRow, got {row!r}")
 
 
+def _coefficients(space: VariabilitySpace, embeddings: EmbeddingSet, trials: TrialList):
+    """Sorted enrolled speakers, coefficients, their mean coefficients, trial models, rows."""
+    speakers = sorted({t.enroll_speaker for t in trials} & set(embeddings.speakers()))
+    which, rows = _resolve_trials(trials, {s: i for i, s in enumerate(speakers)}, embeddings)
+    coeff = embeddings.vectors @ space.basis
+    means = np.array([coeff[embeddings.speaker_rows(s)].mean(axis=0) for s in speakers])
+    return speakers, coeff, means, which, rows
+
+
+def _kept_scores(view, blocks, clean_enrollment: bool):
+    """Each block's trial scores. The basis is orthonormal, so modified embeddings' inner
+    products are those of their coefficients outside the block: the products m*c, m*m and
+    c*c are summed once per segment between block edges, and each block sums its kept ones."""
+    speakers, coeff, means, which, rows = view
+    starts = np.unique([0, *(e for block in blocks for e in block if e < coeff.shape[1])])
+    segment_sums = partial(np.add.reduceat, indices=starts, axis=1)
+    model_sq = segment_sums(means * means)
+    test_sq = segment_sums(coeff * coeff)
+    dots = np.concatenate(
+        [segment_sums(means[which[c]] * coeff[rows[c]]) for c in _chunks(len(which))]
+    )
+    for lo, hi in blocks:
+        kept = (starts < lo) | (starts >= hi)
+        model_norm = np.sqrt((model_sq if clean_enrollment else model_sq[:, kept]).sum(axis=1))
+        if (zero := model_norm <= _ZERO_NORM).any():
+            speaker = speakers[zero.argmax()]
+            raise DataError(f"speaker '{speaker}' has a zero-mean enrollment model")
+        test_norm = np.sqrt(test_sq[:, kept].sum(axis=1))
+        yield _cosines(dots[:, kept].sum(axis=1), model_norm[which], test_norm[rows])
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def run_sweep(
     space: VariabilitySpace,
@@ -228,12 +260,6 @@ def run_sweep(
     the modified embeddings (or the originals with ``clean_enrollment``),
     scoring every trial and taking the EER. K=0 is the unmodified baseline;
     a size that removes all D dimensions is rejected.
-
-    The basis is orthonormal, so inner products of modified embeddings are
-    inner products of their coefficients outside the removed block. The set
-    is projected once; each trial's coefficient products (m*c, m*m, c*c) are
-    summed over the segments between block boundaries, and each K's scores
-    come from the sums of the segments it keeps.
     """
     if family not in SWEEP_FAMILIES:
         raise DataError(f"unknown sweep family '{family}'")
@@ -268,35 +294,9 @@ def run_sweep(
     if not sizes:
         raise DataError("sweep needs at least one size")
 
-    speakers = sorted({t.enroll_speaker for t in trials} & set(embeddings.speakers()))
-    which, rows = _resolve_trials(trials, {s: i for i, s in enumerate(speakers)}, embeddings)
-    coeff = embeddings.vectors @ space.basis
-    means = np.array([coeff[embeddings.speaker_rows(s)].mean(axis=0) for s in speakers])
-    starts = np.unique([0, *(edge for block in blocks for edge in block)])
-    starts = starts[starts < space.dim]
-
-    def segment_sums(products):
-        return np.add.reduceat(products, starts, axis=1)
-
-    model_sq = segment_sums(means * means)
-    test_sq = segment_sums(coeff * coeff)
-    dots = np.concatenate(
-        [segment_sums(means[which[c]] * coeff[rows[c]]) for c in _chunks(len(trials))]
-    )
-
     result_rows = []
-    for k, (lo, hi) in zip(sizes, blocks):
-        kept = (starts < lo) | (starts >= hi)
-        model_norm = np.sqrt((model_sq if clean_enrollment else model_sq[:, kept]).sum(axis=1))
-        zero = model_norm <= _ZERO_NORM
-        if zero.any():
-            speaker = speakers[zero.argmax()]
-            raise DataError(f"speaker '{speaker}' has a zero-mean enrollment model")
-        scores = _cosines(
-            dots[:, kept].sum(axis=1),
-            model_norm[which],
-            np.sqrt(test_sq[:, kept].sum(axis=1))[rows],
-        )
+    view = _coefficients(space, embeddings, trials)
+    for k, scores in zip(sizes, _kept_scores(view, blocks, clean_enrollment)):
         result = compute_eer(ScoredTrials(scores=scores, labels=trials.labels))
         result_rows.append(
             SweepRow(

@@ -21,9 +21,9 @@ _MAX_WORDS = 2**60 - 1
 
 
 class CounterRng:
-    """Deterministic counter-based 64-bit generator (splitmix-style output
-    mixing) with Box-Muller gaussians. A fixed seed reproduces the exact
-    same byte stream on every run, independent of draw batching."""
+    """Counter-based 64-bit generator (splitmix-style mixing), Box-Muller gaussians.
+    A seed fixes the raw words and uniforms exactly; gaussians use numpy's log and
+    cos, so their bytes hold per numpy build and CPU. Batching never changes a draw."""
 
     def __init__(self, seed: int):
         seed = as_int(seed, "seed")
@@ -149,9 +149,9 @@ def load_population_config(source) -> PopulationConfig:
 
 
 def generate(config: PopulationConfig) -> EmbeddingSet:
-    """Draw the population: speaker means first (speaker-major), then all
-    utterance noise, from one counter stream, so the output bytes are a pure
-    function of the seed. Ids are ``spk<k>`` / ``spk<k>_utt<u>``, 1-based."""
+    """Draw the population: speaker means first (speaker-major), then all utterance
+    noise, from one counter stream; the seed fixes its bytes for one numpy build and
+    CPU (see ``CounterRng``). Ids are ``spk<k>`` / ``spk<k>_utt<u>``, 1-based."""
     rng = CounterRng(config.seed)
     s, u, d = config.n_speakers, config.utts_per_speaker, config.dim
     between_sd = np.sqrt(config.between_variances)

@@ -15,8 +15,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import emb1_blob, embedding_set_oracle, load_binary_oracle, load_csv_oracle
-from varispace import EmbeddingSet, embeddings, load_embeddings, save_embeddings
+from helpers import (
+    assert_raises_exactly,
+    emb1_blob,
+    embedding_set_oracle,
+    load_binary_oracle,
+    load_csv_oracle,
+)
+from varispace import EmbeddingSet, FormatError, embeddings, load_embeddings, save_embeddings
 
 PROPERTY = settings(
     max_examples=150,
@@ -234,6 +240,33 @@ def test_written_csv_loads_without_the_row_reader(tmp_path, monkeypatch, end):
     assert got.utt_ids == emb.utt_ids
     assert got.spk_ids == emb.spk_ids
     assert got.vectors.tobytes() == emb.vectors.tobytes()
+
+
+# bodies on which np.loadtxt must return one row per line or raise: a skipped
+# line would leave fewer rows than ids, and a row-reader error names the line
+LOADTXT_LINES = {
+    "empty-values": ("u1,a,1,2\nu2,b,,\nu3,a,3,4\n",
+                     "embeddings CSV line 3: d1 must be a real number, got ''"),
+    "whitespace-values": ("u1,a,1,2\nu2,b, ,\t\nu3,a,3,4\n",
+                          "embeddings CSV line 3: d1 must be a real number, got ' '"),
+    "one-whitespace-value": ("u1,a,1,2\nu2,b,5, \nu3,a,3,4\n",
+                             "embeddings CSV line 3: d2 must be a real number, got ' '"),
+    "lone-cr-end": ("u1,a,1,2\ru2,b,3,4\n", None),
+    "no-last-line-end": ("u1,a,1,2\nu2,b,3,4", None),
+}
+
+
+@pytest.mark.parametrize("body, message", LOADTXT_LINES.values(), ids=LOADTXT_LINES.keys())
+def test_loadtxt_pass_reads_one_row_per_line(tmp_path, monkeypatch, body, message):
+    path = tmp_path / "emb.csv"
+    path.write_text("utt_id,spk_id,d1,d2\n" + body, encoding="utf-8", newline="")
+    if message is not None:
+        assert_raises_exactly(lambda: load_embeddings(path), FormatError, message)
+        return
+    monkeypatch.setattr(embeddings, "read_table", refuse_row_reader)
+    emb = load_embeddings(path)
+    assert emb.utt_ids == ("u1", "u2")
+    assert emb.vectors.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
 @pytest.mark.parametrize("error", [MemoryError, OSError])

@@ -23,6 +23,7 @@ from varispace import (
     save_embeddings,
     save_trials,
 )
+from varispace.embeddings import open_text
 
 
 def _sample_set(rng, n=6, d=4):
@@ -509,6 +510,18 @@ def test_non_utf8_names_file_and_byte_offset(tmp_path, name):
         loader(path)
     assert str(path) in str(err.value)
     assert f"byte offset {len(prefix)} " in str(err.value)
+
+
+def test_decode_error_from_other_bytes_propagates(tmp_path):
+    # the file decodes whole, so a UnicodeDecodeError from other bytes is not
+    # the file's and is raised again as it is
+    path = tmp_path / "input.txt"
+    path.write_text("valid text\n", encoding="utf-8")
+    with pytest.raises(UnicodeDecodeError) as err:
+        with open_text(path):
+            b"\xff".decode()
+    assert type(err.value) is UnicodeDecodeError
+    assert (err.value.object, err.value.start) == (b"\xff", 0)
 
 
 @pytest.mark.parametrize("name", ["embeddings-csv", "spectrum-csv", "sweep-csv"])

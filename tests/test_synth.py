@@ -1,3 +1,6 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,6 +47,28 @@ class TestCounterRng:
         rng = CounterRng(7)
         pieces = np.concatenate([rng.gaussians(3), rng.gaussians(2), rng.gaussians(5)])
         assert whole.tobytes() == pieces.tobytes()
+
+    def test_raw_words_and_uniforms_are_exact(self):
+        # integer and dyadic arithmetic: these bytes hold on any numpy build and CPU
+        raw = CounterRng(2024).raw(4096).astype("<u8").tobytes()
+        uniforms = CounterRng(2024).uniforms(4096).astype("<f8").tobytes()
+        assert hashlib.sha256(raw).hexdigest() == (
+            "19526557e42623c4c1e4c8258602c5259e55d52e20bba43d05fe534bb879c79d"
+        )
+        assert hashlib.sha256(uniforms).hexdigest() == (
+            "95e51d48fb33984f8a46746e391f73de77a6dc2572e466f6fad1d9b77e9d4d98"
+        )
+
+    def test_gaussians_are_box_muller_within_4_ulp(self):
+        # numpy's float64 log and cos may differ from the C library's in the
+        # last bits, so gaussian bytes are fixed only per numpy build and CPU
+        u = CounterRng(2024).uniforms(400000).tolist()
+        g = CounterRng(2024).gaussians(200000)
+        box_muller = np.array(
+            [math.sqrt(-2.0 * math.log(a)) * math.cos(2.0 * math.pi * b)
+             for a, b in zip(u[0::2], u[1::2])]
+        )
+        assert np.all(np.abs(g - box_muller) <= 4 * np.spacing(np.abs(box_muller)))
 
     def test_uniforms_in_half_open_unit(self):
         u = CounterRng(99).uniforms(100000)
