@@ -66,55 +66,8 @@ from .synth import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CounterRng",
-    "DataError",
-    "DeltaSpectrum",
-    "EerResult",
-    "EmbeddingSet",
-    "FormatError",
-    "NumericalError",
-    "PopulationConfig",
-    "ScoredTrials",
-    "SubspaceSpec",
-    "SweepResult",
-    "SweepRow",
-    "Trial",
-    "TrialList",
-    "TurningPoint",
-    "VariabilitySpace",
-    "VarispaceError",
-    "build_enrollment",
-    "compute_eer",
-    "cosine",
-    "covariance",
-    "delta_spectrum",
-    "detect_format",
-    "detect_turning",
-    "eig_sym",
-    "fit",
-    "generate",
-    "load_embeddings",
-    "load_population_config",
-    "load_space",
-    "load_trials",
-    "log_spectrum",
-    "make_trials",
-    "modify",
-    "modify_batch",
-    "modify_batch_with_energy",
-    "parse_population_config",
-    "parse_spec",
-    "project",
-    "read_spectrum_csv",
-    "read_sweep_csv",
-    "reconstruct",
-    "resolve_indices",
-    "run_sweep",
-    "save_embeddings",
-    "save_space",
-    "save_trials",
-    "score_trials",
-    "write_spectrum_csv",
-    "write_sweep_csv",
-]
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and getattr(value, "__module__", "").startswith("varispace.")
+)

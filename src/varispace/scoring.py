@@ -4,7 +4,7 @@ sweeps that tabulate EER against the removed block size."""
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 from functools import partial
 from typing import Mapping
 
@@ -312,7 +312,7 @@ def run_sweep(
     return SweepResult(rows=tuple(result_rows))
 
 
-SWEEP_HEADER = ["family", "start", "size", "direction", "eer_percent", "n_target", "n_nontarget"]
+SWEEP_HEADER = [field.name for field in fields(SweepRow)]
 
 
 def write_sweep_csv(result: SweepResult, destination) -> None:

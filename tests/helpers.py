@@ -318,34 +318,6 @@ def cofactor_det(m: np.ndarray) -> float:
     return total
 
 
-def exhaustive_eer_percent(scores, labels) -> float:
-    """EER by evaluating miss/false-alarm rates at every midpoint between
-    consecutive distinct scores plus outer sentinels, interpolating the
-    crossing. Pure-python re-derivation used to pin expected values."""
-    target = [float(s) for s, t in zip(scores, labels) if t]
-    nontarget = [float(s) for s, t in zip(scores, labels) if not t]
-    distinct = sorted(set(target) | set(nontarget))
-    thresholds = [distinct[0] - 1.0]
-    thresholds += [0.5 * (a + b) for a, b in zip(distinct, distinct[1:])]
-    thresholds += [distinct[-1] + 1.0]
-    ops = []
-    for theta in thresholds:
-        far = sum(1 for s in nontarget if s >= theta) / len(nontarget)
-        frr = sum(1 for s in target if s < theta) / len(target)
-        ops.append((far, frr))
-    prev = ops[0]
-    for cur in ops[1:]:
-        d0 = prev[0] - prev[1]
-        d1 = cur[0] - cur[1]
-        if d0 == 0.0:
-            return 100.0 * prev[0]
-        if d0 > 0.0 and d1 < 0.0:
-            frac = d0 / (d0 - d1)
-            return 100.0 * (prev[0] + frac * (cur[0] - prev[0]))
-        prev = cur
-    raise AssertionError("no crossing found")
-
-
 def scan_turning(values, window: int, tol: float) -> tuple[int, bool]:
     """Exhaustive scan over every candidate index for the turning-point
     rule: monotone magnitude tail, preceding values inside the oscillation

@@ -48,6 +48,15 @@ def test_every_imported_public_name_is_exported():
     assert imported - set(varispace.__all__) == set()
 
 
+def test_star_import_binds_exactly_the_exports():
+    names = {}
+    exec("from varispace import *", names)
+    bound = set(names) - {"__builtins__"}
+    assert bound == set(varispace.__all__)
+    assert not bound & {"linalg", "scoring", "cli"}
+    assert not any(name.startswith("_") for name in bound)
+
+
 def _population():
     rng = np.random.default_rng(5)
     n, d = 24, 6

@@ -384,6 +384,17 @@ class TestEer:
                      "--trials", str(workdir / "gaps.txt")]) == 1
         assert capsys.readouterr().err == "error:data:trial 7: unknown test utterance 'ghost'\n"
 
+    def test_target_only_trials_are_one_data_line(self, workdir, capsys):
+        lines = (workdir / "trials.txt").read_text().splitlines(keepends=True)
+        targets = [line for line in lines if line.endswith(" target\n")]
+        (workdir / "targets.txt").write_text("".join(targets))
+        assert main(["eer", "--enroll", str(workdir / "emb.csv"),
+                     "--test", str(workdir / "emb.csv"),
+                     "--trials", str(workdir / "targets.txt")]) == 1
+        assert tuple(capsys.readouterr()) == (
+            "", "error:data:EER needs at least one target and one nontarget trial\n"
+        )
+
 
 class TestSweep:
     def test_row_count_inclusive_range(self, workdir, capsys):

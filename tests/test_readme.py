@@ -9,12 +9,16 @@ from varispace.cli import main
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
+def walkthrough_block() -> str:
+    """The walkthrough's shell block, as written."""
+    text = README.read_text(encoding="utf-8")
+    return text.split("## CLI walkthrough", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+
+
 def walkthrough_steps() -> list[tuple[str, object]]:
     """The walkthrough's shell block as ("file", (name, text)), ("python",
     source) and ("cli", argv) steps, in order."""
-    text = README.read_text(encoding="utf-8")
-    block = text.split("## CLI walkthrough", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    lines = iter(block.replace("\\\n", " ").splitlines())
+    lines = iter(walkthrough_block().replace("\\\n", " ").splitlines())
     steps = []
     for line in lines:
         line = line.strip()

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import assert_raises_exactly, exhaustive_eer_percent
+from helpers import assert_raises_exactly, brute_eer
 from varispace import (
     DataError,
     EmbeddingSet,
@@ -215,7 +215,7 @@ class TestComputeEer:
             n_t = int(rng.integers(2, 60))
             n_n = int(rng.integers(2, 60))
             scored = _scored(rng.uniform(-1, 1, n_t), rng.uniform(-1, 1, n_n))
-            expected = exhaustive_eer_percent(scored.scores, scored.labels)
+            expected = brute_eer(scored)
             assert compute_eer(scored).eer_percent == pytest.approx(expected, abs=1e-9)
 
     def test_invariant_to_trial_order(self):
@@ -241,8 +241,11 @@ class TestComputeEer:
         assert total == pytest.approx(100.0, abs=1e-9)
 
     def test_single_class_rejected(self):
-        with pytest.raises(DataError):
-            compute_eer(ScoredTrials(np.array([0.5, 0.6]), np.array([True, True])))
+        for labels in ([True, True], [False, False]):
+            assert_raises_exactly(
+                lambda: compute_eer(ScoredTrials(np.array([0.5, 0.6]), np.array(labels))),
+                DataError, "EER needs at least one target and one nontarget trial",
+            )
 
     def test_score_range_validated(self):
         with pytest.raises(DataError):
