@@ -92,8 +92,8 @@ def _cmd_detect_knee(args) -> int:
 
 
 def _cmd_modify(args) -> int:
-    space = load_space(args.space)
     spec = parse_spec(args.spec)
+    space = load_space(args.space)
     embeddings = load_embeddings(args.embeddings)
     modified, removed = modify_batch_with_energy(space, embeddings, spec)
     with np.errstate(over="ignore"):

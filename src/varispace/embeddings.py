@@ -4,12 +4,12 @@ formats (CSV, binary, and whitespace trial lists)."""
 from __future__ import annotations
 
 import csv
-import io
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterable
 
 import numpy as np
@@ -351,12 +351,11 @@ def _save_csv(embeddings: EmbeddingSet, destination) -> None:
         _utf8(value)
         if len(value) > _CSV_LIMIT:
             raise DataError(f"id of {len(value)} characters exceeds the CSV limit of {_CSV_LIMIT}")
-    # ids go through the csv module for its quoting, one row at a time; the
-    # "\r\n" terminator makes it quote ids holding a lone "\r" as well as "\n".
-    # The values, which never need quoting, go through _float_fields in
-    # chunks of whole rows.
-    ids = io.StringIO()
-    id_writer = csv.writer(ids, lineterminator="\r\n")
+    # ids go through the csv module for its quoting, one row at a time: writerow
+    # returns what write returns, here the quoted line. The "\r\n" terminator
+    # makes it quote ids holding a lone "\r" as well as "\n". The values, which
+    # never need quoting, go through _float_fields in chunks of whole rows.
+    quoted = csv.writer(SimpleNamespace(write=str), lineterminator="\r\n").writerow
     header = ",".join(["utt_id", "spk_id"] + [f"d{i}" for i in range(1, d + 1)])
     step = max(1, _CHUNK // d)
     with open(destination, "wb") as fh:
@@ -371,10 +370,7 @@ def _save_csv(embeddings: EmbeddingSet, destination) -> None:
             pieces = []
             chunk = slice(start, start + step)
             for utt, spk, line in zip(embeddings.utt_ids[chunk], embeddings.spk_ids[chunk], lines):
-                id_writer.writerow((utt, spk))
-                pieces += (ids.getvalue()[:-2].encode(), line)
-                ids.seek(0)
-                ids.truncate()
+                pieces += (quoted((utt, spk))[:-2].encode(), line)
             fh.write(b"".join(pieces))
 
 

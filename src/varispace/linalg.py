@@ -149,8 +149,8 @@ def covariance(vectors) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         centered = data - data.mean(axis=0)
         cov = centered.T @ centered / (n - 1)
-        # BLAS accumulation order may differ across the diagonal; make symmetry exact.
-        cov = 0.5 * (cov + cov.T)
+        # exact symmetry (BLAS may round the triangles apart), halving first so it cannot overflow
+        cov = 0.5 * cov + 0.5 * cov.T
     check_finite(f"covariance of {n} observations overflows float64", cov)
     return cov
 
@@ -163,7 +163,8 @@ def fix_eigvec_signs(basis: np.ndarray) -> None:
 
 
 def eig_sym(matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix by LAPACK (``np.linalg.eigh``).
+    """Eigendecomposition of a symmetric matrix by LAPACK (``np.linalg.eigh``),
+    which reads only its lower triangle.
 
     Returns
     -------
@@ -181,7 +182,8 @@ def eig_sym(matrix) -> tuple[np.ndarray, np.ndarray]:
         If the input is not square, or not symmetric within
         ``SYMMETRY_RTOL`` relative asymmetry.
     NumericalError
-        If LAPACK reports that the decomposition did not converge.
+        If LAPACK reports that the decomposition did not converge, or its
+        result overflows float64.
     """
     s = as_array(matrix, "matrix", 2)
     d = s.shape[0]
@@ -195,9 +197,10 @@ def eig_sym(matrix) -> tuple[np.ndarray, np.ndarray]:
             f"{SYMMETRY_RTOL:.0e} relative to max |entry| {scale:.3e}"
         )
     try:
-        lam, v = np.linalg.eigh(0.5 * (s + s.T))
+        lam, v = np.linalg.eigh(s)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"symmetric eigensolver failed: {exc}") from None
+    check_finite("eigenvalues overflow float64", lam, v)
     order = np.argsort(-lam, kind="stable")
     lam = lam[order]
     v = np.ascontiguousarray(v[:, order])

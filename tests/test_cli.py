@@ -133,6 +133,13 @@ class TestFit:
         assert err.startswith("error:numerical:") and err.count("\n") == 1
         assert not (tmp_path / "x.vsp").exists()
 
+    def test_eigenvalue_overflow_is_one_numerical_line(self, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        path.write_text("utt_id,spk_id,d1,d2,d3\nu1,a,6e153,6e153,6e153\nu2,b,-6e153,-6e153,-6e153\n")
+        assert main(["fit", "--embeddings", str(path), "--out", str(tmp_path / "x.vsp")]) == 2
+        assert tuple(capsys.readouterr()) == ("", "error:numerical:eigenvalues overflow float64\n")
+        assert not (tmp_path / "x.vsp").exists()
+
     def test_rank_deficient_fit_warns_in_one_line(self, tmp_path, capsys):
         (tmp_path / "pop.cfg").write_text(
             POP_CONFIG.replace("n_speakers=6", "n_speakers=3")
@@ -295,6 +302,15 @@ class TestModify:
         err = capsys.readouterr().err
         assert err.startswith("error:data:")
         assert "<start>:<size>:<+|->" in err
+
+    def test_spec_is_read_before_any_file(self, tmp_path, capsys):
+        assert main(["modify", "--space", str(tmp_path / "missing.vsp"),
+                     "--embeddings", str(tmp_path / "missing.csv"),
+                     "--spec", "1:x:+", "--out", str(tmp_path / "y.csv")]) == 1
+        assert tuple(capsys.readouterr()) == ("", (
+            "error:data:bad subspace spec '1:x:+': subspace size must be an integer, "
+            "got 'x' ([family:]<start>:<size>:<+|->)\n"
+        ))
 
     def test_input_files_untouched(self, workdir):
         before = (workdir / "emb.csv").read_bytes()

@@ -20,6 +20,7 @@ from varispace import (
     cosine,
     covariance,
     eig_sym,
+    fit,
     modify,
     modify_batch,
     modify_batch_with_energy,
@@ -28,7 +29,7 @@ from varispace import (
     run_sweep,
     score_trials,
 )
-from varispace.linalg import fix_eigvec_signs
+from varispace.linalg import SYMMETRY_RTOL, fix_eigvec_signs
 
 
 class TestCovariance:
@@ -79,6 +80,10 @@ class TestCovariance:
         data = np.array([[1e200, 1.0], [-1e200, 2.0], [3e199, 0.5]])
         with pytest.raises(NumericalError, match="overflows"):
             covariance(data)
+
+    def test_finite_near_the_largest_float_is_kept(self):
+        # 2 * 7.7e153**2 is finite, but cov + cov.T is not: halve before the sum
+        assert np.array_equal(covariance([[7.7e153], [-7.7e153]]), [[2 * 7.7e153**2]])
 
 
 def numpy_reason(values):
@@ -240,6 +245,20 @@ class TestEigSym:
         assert np.array_equal(basis, [[1.0]])
         assert np.array_equal(lam, [4.0])
 
+    def test_entries_near_the_largest_float(self):
+        # finite eigenvalues of a matrix whose s + s.T would overflow
+        _, lam = eig_sym([[1e308, 1e307], [1e307, 1e308]])
+        np.testing.assert_allclose(lam, [1.1e308, 9e307], rtol=1e-15, atol=0)
+
+    def test_decomposes_the_lower_triangle(self):
+        rng = np.random.default_rng(33)
+        m = rng.standard_normal((8, 8))
+        lower = np.tril(m) + np.tril(m, -1).T
+        skewed = lower + np.triu(np.full((8, 8), 0.5 * SYMMETRY_RTOL * np.abs(lower).max()), 1)
+        assert not np.array_equal(skewed, lower)
+        for got, want in zip(eig_sym(skewed), eig_sym(lower)):
+            assert got.tobytes() == want.tobytes()
+
 
 class TestJacobiOracle:
     def test_non_convergence_reported(self):
@@ -296,9 +315,14 @@ OVERFLOWS = {
     ),
     "modify_batch_with_energy-energy": (lambda: modify_batch_with_energy(AXES, HUGE, FIRST),
                                         "removed energy overflows float64"),
+    "eig_sym": (lambda: eig_sym([[1e308, 1e308], [1e308, 1e308]]),
+                "eigenvalues overflow float64"),
+    "fit": (lambda: fit(EmbeddingSet(("u1", "u2"), ("a", "b"), [[6e153] * 3, [-6e153] * 3])),
+            "eigenvalues overflow float64"),
 }
 
 
 @pytest.mark.parametrize("call, message", OVERFLOWS.values(), ids=OVERFLOWS.keys())
+@pytest.mark.filterwarnings("ignore:fitting 3 dimensions from only 2:UserWarning")
 def test_every_overflow_is_one_numerical_error(call, message):
     assert_raises_exactly(call, NumericalError, message)
