@@ -27,11 +27,13 @@ _CSV_LIMIT = 131072
 class EmbeddingSet:
     """Ordered collection of (utterance id, speaker id, vector) records with
     unique utterance ids and a uniform dimension. Vectors are stored as a
-    read-only (N, D) float64 matrix, kept or copied as ``linalg.frozen`` rules."""
+    read-only (N, D) float64 matrix, kept or copied as ``linalg.frozen`` rules;
+    ``speaker_codes`` (read-only, intp) holds each row's speaker's index in :meth:`speakers`."""
 
     utt_ids: tuple[str, ...]
     spk_ids: tuple[str, ...]
     vectors: np.ndarray
+    speaker_codes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         utt_ids = tuple(self.utt_ids)
@@ -56,6 +58,7 @@ class EmbeddingSet:
         # code, sliced from a read-only array so no slice can be made writable
         code_of = dict(zip(dict.fromkeys(spk_ids), range(n)))
         codes = np.fromiter(map(code_of.__getitem__, spk_ids), dtype=np.intp, count=n)
+        codes.setflags(write=False)
         order = np.argsort(codes, kind="stable")
         order.setflags(write=False)
         ends = np.cumsum(np.bincount(codes)).tolist()
@@ -63,6 +66,7 @@ class EmbeddingSet:
         object.__setattr__(self, "utt_ids", utt_ids)
         object.__setattr__(self, "spk_ids", spk_ids)
         object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "speaker_codes", codes)
         object.__setattr__(self, "_row_of", row_of)
         object.__setattr__(self, "_speaker_rows", speaker_rows)
 
@@ -387,15 +391,9 @@ def _load_csv(source) -> EmbeddingSet:
             return EmbeddingSet(tuple(utts), tuple(spks), vectors)
 
     def build(utt, spk, *values):
-        joined = "".join(values)  # ASCII without "_" if and only if every value is
-        if joined.isascii() and "_" not in joined:
-            try:
-                return utt, spk, np.fromiter(map(float, values), dtype=np.float64, count=d)
-            except ValueError:
-                pass
         # value by value, by linalg.parse_number's rule, so that the first bad
         # one names its column; the set rejects a non-finite one
-        return utt, spk, [parse_number(float, text, name) for text, name in zip(values, names)]
+        return utt, spk, np.fromiter(map(parse_number, repeat(float), values, names), float, d)
 
     records = read_table(source, "embeddings", header, [None] * len(header), build)
     if not records:

@@ -190,10 +190,11 @@ def eig_sym(matrix) -> tuple[np.ndarray, np.ndarray]:
     if s.shape[1] != d:
         raise DataError(f"matrix must be square, got shape {s.shape}")
     scale = float(np.max(np.abs(s)))
-    asym = float(np.max(np.abs(s - s.T)))
-    if asym > SYMMETRY_RTOL * scale:
+    # halved first so it cannot overflow; doubled as a float, inf with no warning
+    half = float(np.max(np.abs(0.5 * s - 0.5 * s.T)))
+    if half > 0.5 * SYMMETRY_RTOL * scale:
         raise DataError(
-            f"matrix is not symmetric: asymmetry {asym:.3e} exceeds "
+            f"matrix is not symmetric: asymmetry {2.0 * half:.3e} exceeds "
             f"{SYMMETRY_RTOL:.0e} relative to max |entry| {scale:.3e}"
         )
     try:

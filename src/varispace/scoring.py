@@ -157,7 +157,8 @@ def compute_eer(scored: ScoredTrials) -> EerResult:
     nontarget = np.sort(scored.scores[~scored.labels])
     if target.size == 0 or nontarget.size == 0:
         raise DataError("EER needs at least one target and one nontarget trial")
-    thresholds = np.unique(scored.scores)
+    thresholds = np.sort(scored.scores)  # made distinct by a mask: np.unique imports numpy.ma
+    thresholds = thresholds[np.append(True, thresholds[1:] != thresholds[:-1])]
     far = (nontarget.size - np.searchsorted(nontarget, thresholds, side="left")) / nontarget.size
     frr = np.searchsorted(target, thresholds, side="left") / target.size
     far = np.append(far, 0.0)
@@ -227,7 +228,7 @@ def _kept_scores(view, blocks, clean_enrollment: bool):
     products are those of their coefficients outside the block: the products m*c, m*m and
     c*c are summed once per segment between block edges, and each block sums its kept ones."""
     speakers, coeff, means, which, rows = view
-    starts = np.unique([0, *(e for block in blocks for e in block if e < coeff.shape[1])])
+    starts = np.array(sorted({0, *(e for block in blocks for e in block if e < coeff.shape[1])}))
     segment_sums = partial(np.add.reduceat, indices=starts, axis=1)
     model_sq = segment_sums(means * means)
     test_sq = segment_sums(coeff * coeff)

@@ -184,8 +184,6 @@ def make_trials(embeddings: EmbeddingSet, n_nontarget: int, seed: int) -> TrialL
         Trial(spk, utt, True) for utt, spk in zip(embeddings.utt_ids, embeddings.spk_ids)
     ]
     n, n_spk = len(embeddings), len(speakers)
-    code_of = dict(zip(speakers, range(n_spk)))
-    row_codes = np.array([code_of[spk] for spk in embeddings.spk_ids])
     rng = CounterRng(seed)
     attempts_left, missing = 1000 * n_nontarget, n_nontarget
     while missing:
@@ -196,7 +194,7 @@ def make_trials(embeddings: EmbeddingSet, n_nontarget: int, seed: int) -> TrialL
         pick = rng.uniforms(2 * batch)
         spk = np.minimum((pick[0::2] * n_spk).astype(np.intp), n_spk - 1)
         row = np.minimum((pick[1::2] * n).astype(np.intp), n - 1)
-        keep = row_codes[row] != spk
+        keep = embeddings.speaker_codes[row] != spk
         spk, row = spk[keep].tolist(), row[keep].tolist()
         entries += (Trial(speakers[s], embeddings.utt_ids[r], False) for s, r in zip(spk, row))
         missing -= len(spk)

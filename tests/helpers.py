@@ -481,14 +481,15 @@ def embedding_set_oracle(utt_ids, spk_ids, vectors):
     """``EmbeddingSet``'s checks and lookup maps one row at a time, in the
     order a bad row is reported: ids that are not strings, an empty
     utterance id, an empty speaker id, a duplicate utterance id. Returns
-    ``(utt_ids, spk_ids, vectors, row_of, speaker_rows)`` with read-only
-    vectors and speaker rows."""
+    ``(utt_ids, spk_ids, vectors, row_of, speaker_rows, speaker_codes)``
+    with read-only vectors and speaker rows; row i's code is the position of
+    its speaker among the speakers in order of first appearance."""
     utt_ids = tuple(utt_ids)
     spk_ids = tuple(spk_ids)
     vectors = as_array(vectors, "embedding vectors", 2)
     if len(utt_ids) != len(vectors) or len(spk_ids) != len(vectors):
         raise DataError("id lists and vector rows disagree in length")
-    row_of, speaker_rows = {}, {}
+    row_of, speaker_rows, speaker_codes = {}, {}, []
     for i, (utt, spk) in enumerate(zip(utt_ids, spk_ids)):
         if not (isinstance(utt, str) and isinstance(spk, str)):
             raise DataError(f"row {i}: ids must be strings, got {utt!r} and {spk!r}")
@@ -500,12 +501,13 @@ def embedding_set_oracle(utt_ids, spk_ids, vectors):
             raise DataError(f"duplicate utterance id '{utt}'")
         row_of[utt] = i
         speaker_rows.setdefault(spk, []).append(i)
+        speaker_codes.append(list(speaker_rows).index(spk))
     vectors = vectors.copy()
     vectors.setflags(write=False)
     for spk, rows in speaker_rows.items():
         speaker_rows[spk] = rows = np.array(rows)
         rows.setflags(write=False)
-    return utt_ids, spk_ids, vectors, row_of, speaker_rows
+    return utt_ids, spk_ids, vectors, row_of, speaker_rows, speaker_codes
 
 
 def load_binary_oracle(source):

@@ -2,8 +2,9 @@
 arguments that reject other values instead of truncating them or failing
 inside numpy."""
 
-import inspect
+import ast
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,14 +39,15 @@ def test_every_export_resolves():
 
 
 def test_every_imported_public_name_is_exported():
+    # read from the package's source, apart from the rule that builds __all__
+    tree = ast.parse(Path(varispace.__file__).read_text(encoding="utf-8"))
     imported = {
-        name
-        for name, value in vars(varispace).items()
-        if not name.startswith("_")
-        and (inspect.isclass(value) or inspect.isfunction(value))
-        and value.__module__.startswith("varispace.")
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
     }
-    assert imported - set(varispace.__all__) == set()
+    assert {name for name in imported if not name.startswith("_")} == set(varispace.__all__)
 
 
 def test_star_import_binds_exactly_the_exports():

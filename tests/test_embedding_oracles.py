@@ -1,7 +1,7 @@
 """Differential tests of the EMB1 and CSV readers and the ``EmbeddingSet``
 constructor against their record-by-record and row-by-row oracles in
 ``helpers``: for every input both return the same set (equal ids,
-bit-equal vectors, equal read-only speaker rows) or raise the same
+bit-equal vectors, equal read-only speaker rows and codes) or raise the same
 exception type with the same message. Also pins that a set never shares
 memory with a caller's writable array or view, and that a CSV read keeps
 the matrix it parsed rather than copying it."""
@@ -33,7 +33,7 @@ PROPERTY = settings(
 
 def assert_same_outcome(call, oracle, *args):
     try:
-        utt_ids, spk_ids, vectors, row_of, speaker_rows = oracle(*args)
+        utt_ids, spk_ids, vectors, row_of, speaker_rows, speaker_codes = oracle(*args)
     except Exception as exc:
         with pytest.raises(type(exc)) as err:
             call(*args)
@@ -54,6 +54,11 @@ def assert_same_outcome(call, oracle, *args):
         assert got.dtype == rows.dtype
         assert got.tolist() == rows.tolist()
         assert not got.flags.writeable
+    assert emb.speaker_codes.dtype == np.intp
+    assert emb.speaker_codes.tolist() == speaker_codes
+    assert not emb.speaker_codes.flags.writeable
+    counts = [len(emb.speaker_rows(spk)) for spk in emb.speakers()]
+    assert np.bincount(emb.speaker_codes).tolist() == counts
 
 
 # few distinct short ids, so duplicates and empty ids are common

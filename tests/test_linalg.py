@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -249,6 +251,17 @@ class TestEigSym:
         # finite eigenvalues of a matrix whose s + s.T would overflow
         _, lam = eig_sym([[1e308, 1e307], [1e307, 1e308]])
         np.testing.assert_allclose(lam, [1.1e308, 9e307], rtol=1e-15, atol=0)
+
+    def test_asymmetry_past_the_largest_float(self):
+        # s - s.T overflows: the asymmetry reads inf, with no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_raises_exactly(
+                lambda: eig_sym([[0.0, 1e308], [-1e308, 0.0]]),
+                DataError,
+                "matrix is not symmetric: asymmetry inf exceeds 1e-09 relative to "
+                "max |entry| 1.000e+308",
+            )
 
     def test_decomposes_the_lower_triangle(self):
         rng = np.random.default_rng(33)

@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -464,3 +468,34 @@ RAISES = {
 @pytest.mark.parametrize("call, error, message", RAISES.values(), ids=RAISES.keys())
 def test_raise_branch_message(call, error, message):
     assert_raises_exactly(call, error, message)
+
+
+# numpy's unique imports numpy.ma on first use, which costs a fresh process
+# about 12 ms; scoring sorts instead
+MASKED_MODULES = """
+import sys
+import numpy
+
+def masked():
+    return {m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")}
+
+before = masked()
+import varispace as vs
+emb = vs.EmbeddingSet(
+    [f"u{i}" for i in range(12)], [f"s{i % 3}" for i in range(12)],
+    numpy.random.default_rng(4).standard_normal((12, 4)),
+)
+trials = vs.make_trials(emb, 20, seed=1)
+models = {s: vs.build_enrollment(emb, s) for s in emb.speakers()}
+vs.compute_eer(vs.score_trials(models, emb, trials))
+vs.run_sweep(vs.fit(emb), emb, trials, "primary", [0, 1, 2])
+print(sorted(masked() - before))
+"""
+
+
+def test_scoring_loads_no_masked_array_module(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", MASKED_MODULES], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
